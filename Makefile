@@ -103,10 +103,10 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
 # One-iteration run of the MGL throughput bench plus the mcf solver
-# sweep in smoke mode (tiny instances, one iteration per config, full
-# cross-solver validation): catches bit-rot in the bench harnesses
-# themselves without paying for a real measurement. CI runs this on
-# every push.
+# sweep in smoke mode (tiny instances, a fixed 100 iterations per
+# config, full cross-solver validation): catches bit-rot in the bench
+# harnesses themselves without paying for a real measurement. CI runs
+# this on every push.
 bench-smoke:
 	$(GO) test -bench MGLThroughput -benchtime 1x -run '^$$' .
 	$(GO) run ./cmd/benchjson -mode mcf -smoke -out /dev/null

@@ -114,7 +114,7 @@ func run(args []string, stdout io.Writer) int {
 		scale   = fs.Float64("scale", 0.01, "cell-count scale vs published sizes")
 		workers = fs.String("workers", "1,2,4,8", "comma-separated worker counts to sweep (mgl mode)")
 		shards  = fs.String("shards", "1,2,4", "comma-separated shard concurrencies to sweep (shard mode)")
-		smoke   = fs.Bool("smoke", false, "shrink instances and run one iteration per config (mcf mode)")
+		smoke   = fs.Bool("smoke", false, "shrink instances and run a fixed 100 iterations per config (mcf mode)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

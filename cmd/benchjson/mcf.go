@@ -106,10 +106,19 @@ func mcfFamilies(smoke bool) []mcfFamily {
 
 var mcfRules = []mcf.PivotRule{mcf.FirstEligible, mcf.BlockSearch, mcf.CandidateList}
 
+// smokeIters is the fixed iteration count of every smoke-mode
+// measurement. AllocsPerOp is the process-wide malloc delta divided by
+// the iteration count, so with a single iteration a runtime allocation
+// landing in the window (a new OS thread's bookkeeping, say) reads as
+// 1 alloc/op on a path that allocates nothing. Over 100 iterations such
+// stragglers round down to 0, while a real per-op allocation still
+// reads at least 1.
+const smokeIters = 100
+
 // sweepMCF measures the solver layer and returns the report committed
-// as BENCH_mcf.json. Smoke mode shrinks every instance and clamps
-// benchtime to one iteration so CI can exercise the full code path in
-// seconds.
+// as BENCH_mcf.json. Smoke mode shrinks every instance and runs each
+// measurement for a fixed smokeIters iterations so CI can exercise the
+// full code path in seconds.
 func sweepMCF(smoke bool) mcfReport {
 	if smoke {
 		// When running inside a test binary the testing flags already
@@ -117,7 +126,7 @@ func sweepMCF(smoke bool) mcfReport {
 		if flag.Lookup("test.benchtime") == nil {
 			testing.Init()
 		}
-		flag.Set("test.benchtime", "1x")
+		flag.Set("test.benchtime", fmt.Sprintf("%dx", smokeIters))
 	}
 	rep := mcfReport{
 		Bench:     "MCFSolvers",

@@ -242,18 +242,25 @@ func (c *Curve) ensureSorted() {
 	if c.sorted {
 		return
 	}
-	if len(c.breaks) <= 24 {
+	sortBreaks(c.breaks)
+	c.sorted = true
+}
+
+// sortBreaks orders bs by x. The order among equal x is unspecified;
+// no consumer depends on it, since co-located breakpoints change the
+// slope at the same point.
+func sortBreaks(bs []breakpoint) {
+	if len(bs) <= 24 {
 		// Insertion sort: breakpoint lists are tiny and this is on the
 		// legalizer's hot path.
-		for i := 1; i < len(c.breaks); i++ {
-			for j := i; j > 0 && c.breaks[j].x < c.breaks[j-1].x; j-- {
-				c.breaks[j], c.breaks[j-1] = c.breaks[j-1], c.breaks[j]
+		for i := 1; i < len(bs); i++ {
+			for j := i; j > 0 && bs[j].x < bs[j-1].x; j-- {
+				bs[j], bs[j-1] = bs[j-1], bs[j]
 			}
 		}
-	} else {
-		slices.SortFunc(c.breaks, func(a, b breakpoint) int { return cmp.Compare(a.x, b.x) })
+		return
 	}
-	c.sorted = true
+	slices.SortFunc(bs, func(a, b breakpoint) int { return cmp.Compare(a.x, b.x) })
 }
 
 // integrate returns the integral of the slope function over [a, b],
@@ -302,14 +309,49 @@ func (c *Curve) Breakpoints() []int64 {
 	return out
 }
 
+// interior returns f(lo), the slope just right of lo, and the
+// breakpoints in (lo, hi] in ascending x order. One pass over the
+// unsorted breakpoints computes the first two in closed form: each
+// breakpoint at b adds ds*((lo-b)⁺ - (xref-b)⁺) to the integral of the
+// slope from xref to lo, and ds to the slope right of lo when b <= lo.
+// The same pass compacts the interior breakpoints to the front of the
+// storage, so only those are sorted. The compaction permutes the
+// breakpoints of an unsorted curve, which stays marked unsorted; a
+// sorted curve is left untouched and its interior is a subslice.
+func (c *Curve) interior(lo, hi int64) (in []breakpoint, v, s int64) {
+	v = c.vref + c.slope0*(lo-c.xref)
+	s = c.slope0
+	first, n := 0, 0 // first: index of the interior run of a sorted curve
+	for i, b := range c.breaks {
+		v += b.ds * (max(lo-b.x, 0) - max(c.xref-b.x, 0))
+		switch {
+		case b.x <= lo:
+			s += b.ds
+			first++
+		case b.x <= hi:
+			if !c.sorted {
+				c.breaks[n], c.breaks[i] = b, c.breaks[n]
+			}
+			n++
+		}
+	}
+	if c.sorted {
+		return c.breaks[first : first+n], v, s
+	}
+	in = c.breaks[:n]
+	sortBreaks(in)
+	return in, v, s
+}
+
 // MinOn scans the curve on [lo, hi] and returns the minimizing x and
 // value. Candidates are the interval endpoints, every breakpoint
 // inside, and prefer itself; ties prefer the x closest to prefer (then
 // the smaller x) so results are deterministic. The interval must
-// satisfy lo <= hi. The scan is a single O(breaks) sweep.
+// satisfy lo <= hi. Only the breakpoints inside (lo, hi] are sorted
+// (see interior); the sweep over them is linear.
 func (c *Curve) MinOn(lo, hi, prefer int64) (bestX, bestV int64) {
-	c.ensureSorted()
-	bestX, bestV = lo, c.Eval(lo)
+	in, v, s := c.interior(lo, hi)
+	bestX, bestV = lo, v
 	better := func(x, v int64) {
 		if v < bestV {
 			bestX, bestV = x, v
@@ -324,18 +366,9 @@ func (c *Curve) MinOn(lo, hi, prefer int64) (bestX, bestV int64) {
 		}
 	}
 	// Sweep from lo: maintain the running value and slope.
-	v := bestV
-	s := c.slope0
 	prev := lo
 	preferDone := prefer <= lo || prefer > hi
-	for _, b := range c.breaks {
-		if b.x <= lo {
-			s += b.ds
-			continue
-		}
-		if b.x > hi {
-			break
-		}
+	for _, b := range in {
 		if !preferDone && prefer < b.x {
 			better(prefer, v+s*(prefer-prev))
 			preferDone = true

@@ -466,7 +466,11 @@ func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) 
 			out.RefineReport = pc.RefineReport
 			res.MGLStats.Placed += pc.MGLStats.Placed
 			res.MGLStats.WindowRetries += pc.MGLStats.WindowRetries
+			res.MGLStats.QualityRetries += pc.MGLStats.QualityRetries
+			res.MGLStats.InfeasibleRetries += pc.MGLStats.InfeasibleRetries
 			res.MGLStats.Batches += pc.MGLStats.Batches
+			res.MGLStats.InsertionsEvaluated += pc.MGLStats.InsertionsEvaluated
+			res.MGLStats.ChainCells += pc.MGLStats.ChainCells
 			if pc.MGLStats.Workers > res.MGLStats.Workers {
 				res.MGLStats.Workers = pc.MGLStats.Workers
 			}

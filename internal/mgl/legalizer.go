@@ -14,11 +14,28 @@ import (
 	"mclegal/internal/seg"
 )
 
-// Stats reports work done by a Run.
+// Stats reports work done by a Run. Every field except Workers is a
+// deterministic work counter: it depends on the design and options,
+// never on the worker count or the machine.
 type Stats struct {
-	Placed        int
+	Placed int
+	// WindowRetries counts window growths of any cause; it is
+	// QualityRetries + InfeasibleRetries.
 	WindowRetries int
-	Batches       int
+	// QualityRetries counts growths after a feasible plan was found,
+	// chasing a cheaper position that may lie beyond the window
+	// (Options.QualityGrowths).
+	QualityRetries int
+	// InfeasibleRetries counts evaluations whose window held no
+	// feasible insertion point, including a final full-core failure.
+	InfeasibleRetries int
+	Batches           int
+	// InsertionsEvaluated counts insertion points whose push chains
+	// were built, i.e. those past the free-width quick rejection.
+	InsertionsEvaluated int
+	// ChainCells counts the cells of every push chain built (left and
+	// right), the chain-walk work behind InsertionsEvaluated.
+	ChainCells int
 	// Workers is the evaluation concurrency the run actually used
 	// (after defaulting). It never affects the placement — see
 	// Options.Workers — and is reported for observability only.
@@ -142,16 +159,18 @@ func betterPlan(p, best plan, gy int) bool {
 // bestInWindow evaluates every insertion point of t in win and returns
 // the cheapest feasible plan. The winning plan's moves are copied into
 // *dst (reusing its capacity), so the returned plan stays valid after
-// the evaluation's scratch buffers are recycled.
+// the evaluation's scratch buffers are recycled. The evaluation's work
+// counters are stored into *wc.
 //
 //mclegal:hotpath per-cell inner loop of MGL; TestBestInWindowZeroAlloc pins it to 0 allocs/op after warm-up
-func (l *Legalizer) bestInWindow(t model.CellID, win geom.Rect, dst *[]move) (plan, bool) {
+func (l *Legalizer) bestInWindow(t model.CellID, win geom.Rect, dst *[]move, wc *evalWork) (plan, bool) {
 	d := l.d
 	hc := l.hot
 	h := int(hc.H[t])
 
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
+	sc.work = evalWork{}
 
 	var best plan
 
@@ -220,6 +239,7 @@ rowLoop:
 		*dst = append((*dst)[:0], best.moves...)
 		best.moves = *dst
 	}
+	*wc = sc.work
 	return best, best.ok
 }
 
@@ -343,6 +363,7 @@ type runState struct {
 	oks       []bool
 	panics    []*WorkerPanicError
 	moves     [][]move // stable backing storage for plans[i].moves
+	work      []evalWork
 	committed []model.CellID
 
 	// Window-overlap sweep: indices into wins sorted by XLo, with a
@@ -370,6 +391,7 @@ func (rs *runState) ensure(nCells, batchCap int) {
 		rs.oks = make([]bool, batchCap)
 		rs.panics = make([]*WorkerPanicError, batchCap)
 		rs.moves = make([][]move, batchCap)
+		rs.work = make([]evalWork, batchCap)
 		rs.byXLo = make([]int32, 0, batchCap)
 		rs.maxHi = make([]int, 0, batchCap)
 	}
@@ -435,7 +457,7 @@ func (l *Legalizer) evalOne(i int) {
 	if l.opt.Faults.ShouldFire(faults.MGLWorkerPanic) {
 		panic("injected worker panic")
 	}
-	rs.plans[i], rs.oks[i] = l.bestInWindow(rs.batch[i], rs.wins[i], &rs.moves[i])
+	rs.plans[i], rs.oks[i] = l.bestInWindow(rs.batch[i], rs.wins[i], &rs.moves[i], &rs.work[i])
 }
 
 // evalPool is the persistent evaluation worker pool of one RunContext:
@@ -573,9 +595,12 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 		}
 
 		// Sequential deterministic commit; failures grow their window
-		// and return to the queue.
+		// and return to the queue. Every slot's work counts, whatever
+		// becomes of its plan.
 		rs.committed = rs.committed[:0]
 		for i, t := range rs.batch {
+			l.Stats.InsertionsEvaluated += rs.work[i].evaluated
+			l.Stats.ChainCells += rs.work[i].chainCells
 			if rs.oks[i] {
 				// Quality-driven growth (see legalizeOne): if a
 				// cheaper position may lie outside this window and the
@@ -589,6 +614,7 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 					rs.attempt[t]++
 					rs.failEpoch[t] = rs.epoch
 					l.Stats.WindowRetries++
+					l.Stats.QualityRetries++
 					continue
 				}
 				if err := l.commit(rs.plans[i]); err != nil {
@@ -598,6 +624,7 @@ func (l *Legalizer) RunContext(ctx context.Context) error {
 				continue
 			}
 			l.Stats.WindowRetries++
+			l.Stats.InfeasibleRetries++
 			if rs.wins[i] == core {
 				return &InfeasibleError{Cell: t, Name: l.d.Cells[t].Name, Fence: l.d.Cells[t].Fence}
 			}

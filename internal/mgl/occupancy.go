@@ -35,16 +35,57 @@ type occupancy struct {
 	// prefW[sid][i] is the summed width of segs[sid][:i]; it provides
 	// O(log) occupied-width queries for the quick-rejection test.
 	prefW [][]int32
+
+	// Neighbour links of placed cells, one slot per (cell, row) the
+	// cell spans: slot base[id]+k describes cell id in row Y[id]+k.
+	// nbL/nbR hold its left/right neighbour in that row's segment list
+	// (-1 at either end) and segOf the segment. The push-chain walks ask
+	// "who is next to this cell in row r" for every chain cell of every
+	// insertion point; the links answer with an array read instead of a
+	// segment lookup plus binary search. insert keeps them current, and
+	// commit shifts preserve x-order and segment membership, so they
+	// never go stale.
+	base     []int32 // base[id] = sum of H[:id]; covers len(base)-1 cells
+	nbL, nbR []model.CellID
+	segOf    []int32
 }
 
 func newOccupancy(d *model.Design, hot *model.HotCells, grid *seg.Grid) *occupancy {
-	return &occupancy{
+	o := &occupancy{
 		d:     d,
 		hot:   hot,
 		grid:  grid,
 		segs:  make([][]model.CellID, len(grid.Segs)),
 		prefW: make([][]int32, len(grid.Segs)),
 	}
+	o.growLinks()
+	return o
+}
+
+// growLinks extends the link slots to cover every cell of the hot
+// view. Production sizes them once, at construction; tests that add
+// cells to the design after building the index extend them on insert.
+func (o *occupancy) growLinks() {
+	n := len(o.hot.H)
+	if len(o.base) > n {
+		return
+	}
+	if len(o.base) == 0 {
+		o.base = append(o.base, 0)
+	}
+	for id := len(o.base) - 1; id < n; id++ {
+		o.base = append(o.base, o.base[id]+o.hot.H[id])
+	}
+	more := int(o.base[n]) - len(o.segOf)
+	o.nbL = append(o.nbL, make([]model.CellID, more)...)
+	o.nbR = append(o.nbR, make([]model.CellID, more)...)
+	o.segOf = append(o.segOf, make([]int32, more)...)
+}
+
+// slots returns the link slot range [s0, s1) of cell id: slot s0+k
+// describes the cell in row Y[id]+k.
+func (o *occupancy) slots(id model.CellID) (s0, s1 int) {
+	return int(o.base[id]), int(o.base[id+1])
 }
 
 // reserve returns s with room for one more element, growing by at
@@ -67,6 +108,7 @@ func reserve[T any](s []T) []T {
 // partially-registered rows are left in place (the stage runner rolls
 // the whole stage back on error).
 func (o *occupancy) insert(id model.CellID) error {
+	o.growLinks()
 	h := o.hot
 	x, y := int(h.X[id]), int(h.Y[id])
 	for r := y; r < y+int(h.H[id]); r++ {
@@ -80,6 +122,21 @@ func (o *occupancy) insert(id model.CellID) error {
 		copy(lst[i+1:], lst[i:])
 		lst[i] = id
 		o.segs[sid] = lst
+
+		// Link the new cell between its row neighbours.
+		s := int(o.base[id]) + r - y
+		o.segOf[s] = sid
+		o.nbL[s], o.nbR[s] = -1, -1
+		if i > 0 {
+			p := lst[i-1]
+			o.nbL[s] = p
+			o.nbR[int(o.base[p])+r-int(h.Y[p])] = id
+		}
+		if i+1 < len(lst) {
+			q := lst[i+1]
+			o.nbR[s] = q
+			o.nbL[int(o.base[q])+r-int(h.Y[q])] = id
+		}
 
 		// One shift-and-add pass keeps prefW a prefix sum of widths:
 		// entries after the insertion point slide right one slot
@@ -141,12 +198,4 @@ func (o *occupancy) cellsIn(sid int32) []model.CellID { return o.segs[sid] }
 func (o *occupancy) splitAt(sid int32, x int) int {
 	lst := o.segs[sid]
 	return sort.Search(len(lst), func(k int) bool { return int(o.hot.X[lst[k]]) > x })
-}
-
-// resort restores x-order of a segment after cells were shifted.
-// Shifting by the MGL chain rules preserves order, so this is only used
-// defensively by tests.
-func (o *occupancy) resort(sid int32) {
-	lst := o.segs[sid]
-	sort.SliceStable(lst, func(a, b int) bool { return o.hot.X[lst[a]] < o.hot.X[lst[b]] })
 }

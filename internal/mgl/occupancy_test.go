@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mclegal/internal/geom"
 	"mclegal/internal/model"
 	"mclegal/internal/seg"
 )
@@ -128,20 +129,129 @@ func TestOccupiedWidthRandomized(t *testing.T) {
 	}
 }
 
-func TestOccupancyResort(t *testing.T) {
-	d, grid, occ := occFixture(t)
-	a := addCell(d, 0, 10, 0, 0)
-	b := addCell(d, 0, 20, 0, 0)
-	occ.hot = model.NewHotCells(d)
-	occ.insert(a)
-	occ.insert(b)
-	// Manually swap positions (tests only), then resort.
-	d.Cells[a].X, d.Cells[b].X = 20, 10
-	occ.hot.Reload(d)
-	s, _ := grid.At(0, 0)
-	occ.resort(int32(s.ID))
-	lst := occ.cellsIn(int32(s.ID))
-	if lst[0] != b || lst[1] != a {
-		t.Errorf("resort failed: %v", lst)
+// The neighbour links must equal what a segment lookup plus binary
+// search derives from the occupancy lists, after shuffled inserts into
+// rows cut into several segments (a blockage and a fence) and after
+// commit-style shifts that move cells inside their free gaps, which
+// preserve x-order and segment membership.
+func TestNeighbourLinksMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(314159))
+	const nSites, nRows = 80, 8
+	for trial := 0; trial < 20; trial++ {
+		d := newDesign(nSites, nRows)
+		d.Blockages = []geom.Rect{geom.RectWH(30+rng.Intn(10), 0, 3, 2+rng.Intn(4))}
+		d.Fences = []model.Fence{{Name: "F", Rects: []geom.Rect{geom.RectWH(55, 2+rng.Intn(2), 12, 4)}}}
+		grid, err := seg.Build(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Reserve a legal placement: every cell inside one segment per
+		// row, no two cells sharing a site.
+		used := make([][]bool, nRows)
+		for r := range used {
+			used[r] = make([]bool, nSites)
+		}
+		free := func(r, x int, sid int32) bool {
+			return x >= 0 && x < nSites && !used[r][x] && grid.AtID(r, x) == sid
+		}
+		var ids []model.CellID
+		for try := 0; try < 400; try++ {
+			ti := model.CellTypeID(rng.Intn(len(d.Types)))
+			ct := d.Types[ti]
+			x, y := rng.Intn(nSites-ct.Width+1), rng.Intn(nRows-ct.Height+1)
+			sid := grid.AtID(y, x)
+			if sid < 0 || !grid.SpanOK(grid.FenceOf(sid), x, y, ct.Width, ct.Height) {
+				continue
+			}
+			ok := true
+			for r := y; r < y+ct.Height && ok; r++ {
+				for k := x; k < x+ct.Width; k++ {
+					ok = ok && !used[r][k]
+				}
+			}
+			if !ok {
+				continue
+			}
+			for r := y; r < y+ct.Height; r++ {
+				for k := x; k < x+ct.Width; k++ {
+					used[r][k] = true
+				}
+			}
+			ids = append(ids, addCell(d, ti, x, y, grid.FenceOf(sid)))
+		}
+		occ := newOccupancy(d, model.NewHotCells(d), grid)
+		hc := occ.hot
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+
+		// shift moves a placed cell by a random amount inside the free
+		// gap around it in every row it spans, as a commit does.
+		shift := func(id model.CellID) {
+			x, y, w, h := int(hc.X[id]), int(hc.Y[id]), int(hc.W[id]), int(hc.H[id])
+			maxL, maxR := nSites, nSites
+			for r := y; r < y+h; r++ {
+				sid := grid.AtID(r, x)
+				n := 0
+				for free(r, x-1-n, sid) {
+					n++
+				}
+				maxL = min(maxL, n)
+				n = 0
+				for free(r, x+w+n, sid) {
+					n++
+				}
+				maxR = min(maxR, n)
+			}
+			dx := rng.Intn(maxL+maxR+1) - maxL
+			for r := y; r < y+h; r++ {
+				for k := x; k < x+w; k++ {
+					used[r][k] = false
+				}
+				for k := x + dx; k < x+dx+w; k++ {
+					used[r][k] = true
+				}
+			}
+			hc.SetX(d, id, x+dx)
+		}
+
+		check := func(step int, placed []model.CellID) {
+			t.Helper()
+			for _, id := range placed {
+				s0, s1 := occ.slots(id)
+				if s1-s0 != int(hc.H[id]) {
+					t.Fatalf("trial %d step %d: cell %d has %d slots, height %d", trial, step, id, s1-s0, hc.H[id])
+				}
+				x, y := int(hc.X[id]), int(hc.Y[id])
+				for k := 0; k < s1-s0; k++ {
+					sid := grid.AtID(y+k, x)
+					lst := occ.cellsIn(sid)
+					i := occ.splitAt(sid, x) - 1
+					if i < 0 || lst[i] != id {
+						t.Fatalf("trial %d step %d: cell %d not found in its row-%d segment", trial, step, id, y+k)
+					}
+					wantL, wantR := model.CellID(-1), model.CellID(-1)
+					if i > 0 {
+						wantL = lst[i-1]
+					}
+					if i+1 < len(lst) {
+						wantR = lst[i+1]
+					}
+					s := s0 + k
+					if occ.nbL[s] != wantL || occ.nbR[s] != wantR || occ.segOf[s] != sid {
+						t.Fatalf("trial %d step %d: cell %d row %d links (L %d, R %d, seg %d), want (%d, %d, %d)",
+							trial, step, id, y+k, occ.nbL[s], occ.nbR[s], occ.segOf[s], wantL, wantR, sid)
+					}
+				}
+			}
+		}
+
+		for n, id := range ids {
+			if err := occ.insert(id); err != nil {
+				t.Fatalf("trial %d: insert %d: %v", trial, id, err)
+			}
+			for k := rng.Intn(4); k > 0; k-- {
+				shift(ids[rng.Intn(n+1)])
+			}
+			check(n, ids[:n+1])
+		}
 	}
 }

@@ -54,3 +54,45 @@ func TestParallelSeamRegression(t *testing.T) {
 		}
 	}
 }
+
+// The work counters are deterministic: pinned exact values on a small
+// fenced design with edge spacing and forbidden rows, identical for one
+// and four workers. A change to the evaluation that moves them changes
+// how much work MGL does (or what it places), and must say so.
+func TestWorkCountersPinned(t *testing.T) {
+	run := func(workers int) Stats {
+		rng := rand.New(rand.NewSource(4242))
+		d := randomDesign(rng, 120, 12, 150, true)
+		d.Tech.EdgeSpacing = [][]int{{0, 1}, {1, 1}}
+		for i := range d.Types {
+			d.Types[i].EdgeL = uint8(i % 2)
+			d.Types[i].EdgeR = uint8((i + 1) % 2)
+		}
+		l := runMGL(t, d, Options{
+			Workers: workers,
+			Rules: fakeRules{
+				rowBad: func(ct model.CellTypeID, y int) bool { return ct == 0 && y%5 == 0 },
+			},
+		})
+		return l.Stats
+	}
+	want := Stats{
+		Placed:              150,
+		WindowRetries:       58,
+		QualityRetries:      34,
+		InfeasibleRetries:   24,
+		Batches:             96,
+		InsertionsEvaluated: 8091,
+		ChainCells:          202676,
+	}
+	for _, workers := range []int{1, 4} {
+		got := run(workers)
+		if got.Workers != workers {
+			t.Errorf("workers=%d: Stats.Workers = %d", workers, got.Workers)
+		}
+		got.Workers = 0
+		if got != want {
+			t.Errorf("workers=%d: stats %+v, want %+v", workers, got, want)
+		}
+	}
+}

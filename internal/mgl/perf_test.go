@@ -114,8 +114,9 @@ func TestBestInWindowZeroAlloc(t *testing.T) {
 	}
 	win := l.windowFor(tgt, 2)
 	var dst []move
+	var wc evalWork
 	eval := func() {
-		if _, ok := l.bestInWindow(tgt, win, &dst); !ok {
+		if _, ok := l.bestInWindow(tgt, win, &dst, &wc); !ok {
 			t.Fatal("no feasible plan in window")
 		}
 	}

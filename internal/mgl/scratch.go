@@ -28,6 +28,15 @@ type scratch struct {
 	total     curve.Curve // summed displacement curve (evaluateInsertion)
 	moves     []move      // candidate plan moves (evaluateInsertion)
 	bestMoves []move      // current best plan's moves (bestInWindow)
+
+	work evalWork // counters of the current window evaluation
+}
+
+// evalWork counts the work of one window evaluation (see the matching
+// Stats fields).
+type evalWork struct {
+	evaluated  int // insertion points past the quick rejection
+	chainCells int // cells of the push chains built for them
 }
 
 func (s *scratch) reset(n int) {

@@ -54,9 +54,13 @@ func (s *MGLStage) Run(ctx context.Context, pc *PipelineContext) error {
 
 func (s *MGLStage) Counters(pc *PipelineContext) map[string]int64 {
 	return map[string]int64{
-		"cells_placed":   int64(pc.MGLStats.Placed),
-		"window_retries": int64(pc.MGLStats.WindowRetries),
-		"batches":        int64(pc.MGLStats.Batches),
-		"eval_workers":   int64(pc.MGLStats.Workers),
+		"cells_placed":         int64(pc.MGLStats.Placed),
+		"window_retries":       int64(pc.MGLStats.WindowRetries),
+		"quality_retries":      int64(pc.MGLStats.QualityRetries),
+		"infeasible_retries":   int64(pc.MGLStats.InfeasibleRetries),
+		"batches":              int64(pc.MGLStats.Batches),
+		"insertions_evaluated": int64(pc.MGLStats.InsertionsEvaluated),
+		"chain_cells":          int64(pc.MGLStats.ChainCells),
+		"eval_workers":         int64(pc.MGLStats.Workers),
 	}
 }
