@@ -116,7 +116,7 @@ bench-smoke:
 # shard concurrencies into BENCH_shard.json (ns/op, per-region
 # wall-clock breakdown, speedup vs shards=1), server latencies into
 # BENCH_serve.json, and the min-cost-flow solver layer (pivot rules,
-# solver reuse, warm-start resolves, cross-solver validation) into
+# solver reuse, cross-solver validation) into
 # BENCH_mcf.json, and the mclegal-vet analyzer suite itself (one shared
 # program load plus each analyzer's incremental cost) into
 # BENCH_vet.json. Compare the committed baselines against a fresh run

@@ -6,6 +6,7 @@
 package mclegal_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -294,12 +295,12 @@ func BenchmarkAblationPivotRule(b *testing.B) {
 	for _, rule := range []struct {
 		name string
 		r    mcf.PivotRule
-	}{{"FirstEligible", mcf.FirstEligible}, {"BlockSearch", mcf.BlockSearch}} {
+	}{{"FirstEligible", mcf.FirstEligible}, {"CandidateList", mcf.CandidateList}} {
 		b.Run(rule.name, func(b *testing.B) {
 			var pivots int
 			for i := 0; i < b.N; i++ {
 				g := build()
-				res, err := g.SolveWith(rule.r)
+				res, err := mcf.NewSolver().Solve(context.Background(), g, rule.r)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -18,7 +18,7 @@
 // legalization server end to end over an in-process HTTP server and
 // records per-endpoint request-latency percentiles (p50/p90/p99/max);
 // the mcf mode sweeps the min-cost-flow solver layer (pivot rules,
-// solver reuse, warm-start resolves) over the benchmark graph families
+// solver reuse) over the benchmark graph families
 // with cross-solver validation (see mcf.go); the vet mode times the
 // full fourteen-analyzer mclegal-vet suite over the scoped program and
 // records each analyzer's incremental wall time and diagnostic count

@@ -1,12 +1,11 @@
 // mcf mode: the solver-layer sweep behind BENCH_mcf.json. It measures
-// the network-simplex pivot rules and the reusable-Solver/warm-start
-// machinery over the three benchmark graph families (mcf/families.go)
-// and cross-validates every configuration against the independent
-// solvers before recording a single number: on each family's
-// validation instance, simplex under all three pivot rules,
-// cost-scaling, SSP, a warm Resolve round-trip, and (assignment only)
-// the Hungarian matching solver must all report the same optimal cost,
-// or the sweep aborts.
+// the network-simplex pivot rules and the reusable Solver over the
+// three benchmark graph families (mcf/families.go) and cross-validates
+// every configuration against the independent solvers before recording
+// a single number: on each family's validation instance, simplex under
+// both pivot rules, cost-scaling, SSP and (assignment only) the
+// Hungarian matching solver must all report the same optimal cost, or
+// the sweep aborts.
 //
 // SSP is benchmarked at the (smaller) validation size — its
 // Bellman-Ford inner loop does not finish in sensible time at the
@@ -15,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -29,10 +29,8 @@ import (
 type mcfRun struct {
 	Solver string `json:"solver"`         // simplex | costscaling | ssp
 	Rule   string `json:"rule,omitempty"` // pivot rule (simplex only)
-	// Mode: cold-fresh allocates a solver per solve (the pre-Solver
-	// code path), cold-reused solves the same shape on one Solver,
-	// warm-resolve alternates a perturbation and its inverse through
-	// Solver.Resolve.
+	// Mode: cold-fresh allocates a solver per solve, cold-reused
+	// solves the same shape on one Solver.
 	Mode        string  `json:"mode"`
 	Nodes       int     `json:"nodes"`
 	Arcs        int     `json:"arcs"`
@@ -57,11 +55,8 @@ type mcfFamilySummary struct {
 	Family string `json:"family"`
 	Nodes  int    `json:"nodes"`
 	Arcs   int    `json:"arcs"`
-	// Pivot economy of warm starts: cold vs warm mean pivots under
-	// first-eligible on the same perturbation sequence.
-	ColdPivots     float64 `json:"cold_pivots"`
-	WarmPivots     float64 `json:"warm_pivots"`
-	WarmPivotRatio float64 `json:"warm_pivot_ratio"`
+	// ColdPivots is the first-eligible pivot count of one solve.
+	ColdPivots float64 `json:"cold_pivots"`
 	// Allocation economy of Solver reuse vs a fresh solve.
 	ColdAllocs   int64         `json:"cold_allocs_per_op"`
 	ReusedAllocs int64         `json:"reused_allocs_per_op"`
@@ -104,7 +99,7 @@ func mcfFamilies(smoke bool) []mcfFamily {
 	}
 }
 
-var mcfRules = []mcf.PivotRule{mcf.FirstEligible, mcf.BlockSearch, mcf.CandidateList}
+var mcfRules = []mcf.PivotRule{mcf.FirstEligible, mcf.CandidateList}
 
 // smokeIters is the fixed iteration count of every smoke-mode
 // measurement. AllocsPerOp is the process-wide malloc delta divided by
@@ -151,13 +146,9 @@ func sweepMCFFamily(fam mcfFamily) mcfFamilySummary {
 		fam.name, sum.Nodes, sum.Arcs, sum.Validation.Cost, sum.Validation.Nodes)
 
 	g := fam.bench
-	upsA := mcf.PerturbCosts(g, 0.25, 101)
-	upsB := invertUpdates(g, upsA)
-
 	for _, rule := range mcfRules {
 		sum.Runs = append(sum.Runs, benchColdFresh(g, rule))
 		sum.Runs = append(sum.Runs, benchColdReused(g, rule))
-		sum.Runs = append(sum.Runs, benchWarmResolve(g, rule, upsA, upsB))
 	}
 	sum.Runs = append(sum.Runs, benchAltSolver(g, "costscaling", func() error {
 		_, err := g.SolveCostScaling()
@@ -180,23 +171,15 @@ func sweepMCFFamily(fam mcfFamily) mcfFamilySummary {
 			sum.ColdAllocs = r.AllocsPerOp
 		case "cold-reused":
 			sum.ReusedAllocs = r.AllocsPerOp
-		case "warm-resolve":
-			sum.WarmPivots = r.Pivots
 		}
 	}
-	warmPiv := sum.WarmPivots
-	if warmPiv < 1 { // a resolve that repairs without pivoting
-		warmPiv = 1
-	}
-	sum.WarmPivotRatio = sum.ColdPivots / warmPiv
 	reused := sum.ReusedAllocs
 	if reused < 1 {
 		reused = 1
 	}
 	sum.AllocRatio = float64(sum.ColdAllocs) / float64(reused)
-	log.Printf("%s: warm pivot ratio %.1fx (%.0f cold -> %.1f warm), alloc ratio %.0fx (%d -> %d)",
-		fam.name, sum.WarmPivotRatio, sum.ColdPivots, sum.WarmPivots,
-		sum.AllocRatio, sum.ColdAllocs, sum.ReusedAllocs)
+	log.Printf("%s: %.0f pivots, alloc ratio %.0fx (%d -> %d)",
+		fam.name, sum.ColdPivots, sum.AllocRatio, sum.ColdAllocs, sum.ReusedAllocs)
 	return sum
 }
 
@@ -218,7 +201,7 @@ func validateMCFFamily(fam mcfFamily) mcfValidation {
 		val.Solvers = append(val.Solvers, name)
 	}
 	for _, rule := range mcfRules {
-		res, err := g.SolveWith(rule)
+		res, err := solveFresh(g, rule)
 		if err == nil {
 			if verr := g.VerifyOptimal(res); verr != nil {
 				log.Fatalf("%s validation: simplex/%v certificate: %v", fam.name, rule, verr)
@@ -235,33 +218,13 @@ func validateMCFFamily(fam mcfFamily) mcfValidation {
 	res, err = g.SolveSSP()
 	check("ssp", costOf(res), err)
 
-	// Warm Resolve round-trip: perturb, resolve, compare against a cold
-	// solve of the perturbed twin, revert, land back on val.Cost.
-	sv := mcf.NewSolver()
-	if _, err := sv.SolveWith(g, mcf.FirstEligible); err != nil {
-		log.Fatalf("%s validation: warm setup: %v", fam.name, err)
-	}
-	ups := mcf.PerturbCosts(g, 0.3, 77)
-	inv := invertUpdates(g, ups)
-	warmRes, err := sv.Resolve(ups)
-	if err != nil {
-		log.Fatalf("%s validation: resolve: %v", fam.name, err)
-	}
-	coldRes, err := mcf.ApplyUpdates(g, ups).SolveWith(mcf.FirstEligible)
-	if err != nil || warmRes.Cost != coldRes.Cost {
-		log.Fatalf("%s validation: warm resolve cost %d, cold twin %v (err %v)",
-			fam.name, warmRes.Cost, coldRes, err)
-	}
-	backRes, err := sv.Resolve(inv)
-	check("simplex/warm-resolve", costOf(backRes), err)
-
 	if fam.assignN > 0 {
 		n := fam.assignN
 		var msv matching.Solver
-		_, total, ok := msv.MinCostPerfect(n, func(i, j int) int64 {
+		_, total, ok, err := msv.Solve(context.Background(), n, func(i, j int) int64 {
 			return g.Arc(i*n + j).Cost
 		})
-		if !ok {
+		if err != nil || !ok {
 			log.Fatalf("%s validation: matching found no perfect assignment", fam.name)
 		}
 		check("matching/hungarian", total, nil)
@@ -276,19 +239,13 @@ func costOf(res *mcf.Result) int64 {
 	return res.Cost
 }
 
-// invertUpdates builds the update set that restores g's original
-// costs/caps after ups has been applied.
-func invertUpdates(g *mcf.Graph, ups []mcf.ArcUpdate) []mcf.ArcUpdate {
-	inv := make([]mcf.ArcUpdate, len(ups))
-	for i, u := range ups {
-		arc := g.Arc(u.Arc)
-		inv[i] = mcf.ArcUpdate{Arc: u.Arc, Cost: arc.Cost, Cap: arc.Cap}
-	}
-	return inv
+// solveFresh solves g on a new Solver, as a one-off caller would.
+func solveFresh(g *mcf.Graph, rule mcf.PivotRule) (*mcf.Result, error) {
+	return mcf.NewSolver().Solve(context.Background(), g, rule)
 }
 
 func benchColdFresh(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
-	res, err := g.SolveWith(rule)
+	res, err := solveFresh(g, rule)
 	if err != nil {
 		log.Fatalf("cold-fresh %v: %v", rule, err)
 	}
@@ -296,7 +253,7 @@ func benchColdFresh(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := g.SolveWith(rule); err != nil {
+			if _, err := solveFresh(g, rule); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -305,8 +262,9 @@ func benchColdFresh(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
 }
 
 func benchColdReused(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
+	ctx := context.Background()
 	sv := mcf.NewSolver()
-	res, err := sv.SolveWith(g, rule)
+	res, err := sv.Solve(ctx, g, rule)
 	if err != nil {
 		log.Fatalf("cold-reused %v: %v", rule, err)
 	}
@@ -314,55 +272,12 @@ func benchColdReused(g *mcf.Graph, rule mcf.PivotRule) mcfRun {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sv.SolveWith(g, rule); err != nil {
+			if _, err := sv.Solve(ctx, g, rule); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	return mcfRunFrom(g, "simplex", rule.String(), "cold-reused", r, float64(pivots))
-}
-
-// benchWarmResolve alternates a perturbation and its inverse through
-// one Solver so every measured iteration is a warm Resolve between two
-// nearby instances. Pivot counts are averaged over a measured A/B
-// window after the scratch arrays and basis cycle have settled.
-func benchWarmResolve(g *mcf.Graph, rule mcf.PivotRule, upsA, upsB []mcf.ArcUpdate) mcfRun {
-	sv := mcf.NewSolver()
-	if _, err := sv.SolveWith(g, rule); err != nil {
-		log.Fatalf("warm-resolve %v: %v", rule, err)
-	}
-	flip := 0
-	step := func() error {
-		ups := upsA
-		if flip%2 == 1 {
-			ups = upsB
-		}
-		flip++
-		_, err := sv.ResolveWith(ups, rule)
-		return err
-	}
-	for i := 0; i < 16; i++ { // settle the A/B cycle
-		if err := step(); err != nil {
-			log.Fatalf("warm-resolve %v warm-up: %v", rule, err)
-		}
-	}
-	before := sv.Stats().TotalPivots
-	const window = 8
-	for i := 0; i < window; i++ {
-		if err := step(); err != nil {
-			log.Fatalf("warm-resolve %v: %v", rule, err)
-		}
-	}
-	pivots := float64(sv.Stats().TotalPivots-before) / window
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return mcfRunFrom(g, "simplex", rule.String(), "warm-resolve", r, pivots)
 }
 
 func benchAltSolver(g *mcf.Graph, name string, solve func() error) mcfRun {

@@ -14,9 +14,9 @@ import (
 // tree contains it:
 //
 //	(*mgl.Legalizer).bestInWindow  — mgl.TestBestInWindowZeroAlloc
-//	(*mcf.Solver).resolve          — mcf.TestResolveZeroAlloc
-//	(*matching.Solver).solve       — matching.TestSolverReuseZeroAlloc
-//	                                 (root: augmentRow, inside solve)
+//	(*mcf.Solver).Solve            — mcf.TestReusedColdSolveZeroAlloc
+//	(*matching.Solver).Solve       — matching.TestSolverReuseZeroAlloc
+//	                                 (root: augmentRow, inside Solve)
 //
 // Every anchor marked mustBeRoot must itself carry the hotpath
 // annotation, and every root must be reachable from some anchor —
@@ -42,8 +42,8 @@ func TestHotPathRootsMatchDynamicProof(t *testing.T) {
 		witness          string
 	}{
 		{"mclegal/internal/mgl", "Legalizer", "bestInWindow", true, "mgl.TestBestInWindowZeroAlloc"},
-		{"mclegal/internal/mcf", "Solver", "resolve", true, "mcf.TestResolveZeroAlloc"},
-		{"mclegal/internal/matching", "Solver", "solve", false, "matching.TestSolverReuseZeroAlloc"},
+		{"mclegal/internal/mcf", "Solver", "Solve", true, "mcf.TestReusedColdSolveZeroAlloc"},
+		{"mclegal/internal/matching", "Solver", "Solve", false, "matching.TestSolverReuseZeroAlloc"},
 	}
 
 	reach := map[*framework.Node]bool{}

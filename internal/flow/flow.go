@@ -478,16 +478,12 @@ func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) 
 			res.MaxDispStats.Swapped += pc.MaxDispStats.Swapped
 			res.MaxDispStats.CostBefore += pc.MaxDispStats.CostBefore
 			res.MaxDispStats.CostAfter += pc.MaxDispStats.CostAfter
-			res.MaxDispStats.WarmHits += pc.MaxDispStats.WarmHits
-			res.MaxDispStats.WarmMisses += pc.MaxDispStats.WarmMisses
 			res.RefineReport.Nodes += pc.RefineReport.Nodes
 			res.RefineReport.Arcs += pc.RefineReport.Arcs
 			res.RefineReport.Pivots += pc.RefineReport.Pivots
 			res.RefineReport.Edges += pc.RefineReport.Edges
 			res.RefineReport.Moved += pc.RefineReport.Moved
 			res.RefineReport.Rule = pc.RefineReport.Rule
-			res.RefineReport.WarmHits += pc.RefineReport.WarmHits
-			res.RefineReport.WarmMisses += pc.RefineReport.WarmMisses
 			res.RefineReport.SolveNs += pc.RefineReport.SolveNs
 		}
 		res.Shards = append(res.Shards, out)

@@ -10,7 +10,8 @@ func TestMinCostPerfectContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cost := func(i, j int) int64 { return int64(i*3 + j) }
-	_, _, _, err := MinCostPerfectContext(ctx, 16, cost)
+	var sv Solver
+	_, _, _, err := sv.Solve(ctx, 16, cost)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled ctx: err = %v, want context.Canceled", err)
 	}
@@ -23,16 +24,12 @@ func TestMinCostPerfectContextClean(t *testing.T) {
 		{3, 2, 2},
 	}
 	fn := func(i, j int) int64 { return cost[i][j] }
-	_, total, ok, err := MinCostPerfectContext(context.Background(), 3, fn)
+	var sv Solver
+	_, total, ok, err := sv.Solve(context.Background(), 3, fn)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v, want solved", ok, err)
 	}
 	if total != 5 {
 		t.Errorf("total = %d, want 5", total)
-	}
-	// The ctx-less facade must produce the same optimum.
-	_, pTotal, pOK := MinCostPerfect(3, fn)
-	if !pOK || pTotal != total {
-		t.Errorf("MinCostPerfect total=%d ok=%v, want %d true", pTotal, pOK, total)
 	}
 }

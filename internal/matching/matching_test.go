@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestTinyKnown(t *testing.T) {
 		{2, 0, 5},
 		{3, 2, 2},
 	}
-	assign, total, ok := MinCostPerfectMatrix(cost)
+	assign, total, ok := minCostPerfectMatrix(cost)
 	if !ok {
 		t.Fatal("no matching found")
 	}
@@ -68,7 +69,7 @@ func TestTinyKnown(t *testing.T) {
 func TestIdentityOptimal(t *testing.T) {
 	// Zero diagonal, positive elsewhere: identity must win.
 	n := 6
-	assign, total, ok := MinCostPerfect(n, func(i, j int) int64 {
+	assign, total, ok := minCostPerfect(n, func(i, j int) int64 {
 		if i == j {
 			return 0
 		}
@@ -85,14 +86,14 @@ func TestIdentityOptimal(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	assign, total, ok := MinCostPerfect(0, nil)
+	assign, total, ok := minCostPerfect(0, nil)
 	if !ok || total != 0 || assign != nil {
 		t.Errorf("empty case: %v %d %v", assign, total, ok)
 	}
 }
 
 func TestSingle(t *testing.T) {
-	assign, total, ok := MinCostPerfect(1, func(i, j int) int64 { return 7 })
+	assign, total, ok := minCostPerfect(1, func(i, j int) int64 { return 7 })
 	if !ok || total != 7 || assign[0] != 0 {
 		t.Errorf("single case wrong: %v %d %v", assign, total, ok)
 	}
@@ -103,7 +104,7 @@ func TestForbiddenForcesAlternative(t *testing.T) {
 		{Forbidden, 1},
 		{1, 100},
 	}
-	assign, total, ok := MinCostPerfectMatrix(cost)
+	assign, total, ok := minCostPerfectMatrix(cost)
 	if !ok {
 		t.Fatal("matching should exist")
 	}
@@ -117,7 +118,7 @@ func TestInfeasibleAllForbidden(t *testing.T) {
 		{Forbidden, Forbidden},
 		{1, 2},
 	}
-	if _, _, ok := MinCostPerfectMatrix(cost); ok {
+	if _, _, ok := minCostPerfectMatrix(cost); ok {
 		t.Errorf("infeasible instance reported ok")
 	}
 }
@@ -138,7 +139,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want, feasible := bruteForce(cost)
-		assign, got, ok := MinCostPerfectMatrix(cost)
+		assign, got, ok := minCostPerfectMatrix(cost)
 		if ok != feasible {
 			t.Fatalf("trial %d: ok=%v feasible=%v", trial, ok, feasible)
 		}
@@ -175,7 +176,7 @@ func TestRandomAgainstMCF(t *testing.T) {
 				cost[i][j] = int64(rng.Intn(1000))
 			}
 		}
-		_, got, ok := MinCostPerfectMatrix(cost)
+		_, got, ok := minCostPerfectMatrix(cost)
 		if !ok {
 			t.Fatalf("trial %d infeasible", trial)
 		}
@@ -188,7 +189,7 @@ func TestRandomAgainstMCF(t *testing.T) {
 				g.AddArc(i, n+j, 1, cost[i][j])
 			}
 		}
-		res, err := g.Solve()
+		res, err := mcf.NewSolver().Solve(context.Background(), g, mcf.FirstEligible)
 		if err != nil {
 			t.Fatalf("trial %d mcf: %v", trial, err)
 		}
@@ -203,7 +204,7 @@ func TestNegativeCosts(t *testing.T) {
 		{-5, 0},
 		{0, -5},
 	}
-	_, total, ok := MinCostPerfectMatrix(cost)
+	_, total, ok := minCostPerfectMatrix(cost)
 	if !ok || total != -10 {
 		t.Errorf("negative costs: total=%d ok=%v", total, ok)
 	}
@@ -221,7 +222,7 @@ func BenchmarkMatching200(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := MinCostPerfectMatrix(cost); !ok {
+		if _, _, ok := minCostPerfectMatrix(cost); !ok {
 			b.Fatal("infeasible")
 		}
 	}

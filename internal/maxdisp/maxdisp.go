@@ -35,13 +35,6 @@ type Options struct {
 	// faults.MatchingFail point fails the optimization before any
 	// group is solved. Nil disables injection.
 	Faults *faults.Injector
-	// WarmDuals carries the matching solver's dual potentials from one
-	// group into the next same-size group (validated for feasibility
-	// before use, so totals are still exactly optimal). Off by
-	// default: warm duals can pick a different tie among equal-cost
-	// optimal assignments, and the default path stays byte-identical
-	// to the cold solver.
-	WarmDuals bool
 }
 
 func (o Options) withDefaults() Options {
@@ -62,10 +55,6 @@ type Stats struct {
 	Swapped int
 	// CostBefore and CostAfter are the summed φ costs over all groups.
 	CostBefore, CostAfter int64
-	// WarmHits and WarmMisses count the solver's warm-start attempts
-	// when Options.WarmDuals is set (a miss solved cold: first group,
-	// size change, or stored duals infeasible for the new costs).
-	WarmHits, WarmMisses int
 }
 
 // Phi evaluates Eq. (3) in integer DBU with δ0 given in DBU, returning
@@ -165,13 +154,11 @@ func OptimizeContext(ctx context.Context, d *model.Design, opt Options) (Stats, 
 				continue
 			}
 			st.Groups++
-			if err := optimizeGroup(ctx, d, &sv, opt, ids[lo:hi], delta0, &st); err != nil {
+			if err := optimizeGroup(ctx, d, &sv, ids[lo:hi], delta0, &st); err != nil {
 				return st, err
 			}
 		}
 	}
-	st.WarmHits = sv.Stats().WarmHits
-	st.WarmMisses = sv.Stats().WarmMisses
 	return st, nil
 }
 
@@ -179,7 +166,7 @@ func OptimizeContext(ctx context.Context, d *model.Design, opt Options) (Stats, 
 // multiset of their positions. The ctx flows into the assignment
 // solver, where a large group's O(n^3) solve is the bulk of the
 // stage's work.
-func optimizeGroup(ctx context.Context, d *model.Design, sv *matching.Solver, opt Options, ids []model.CellID, delta0 int64, st *Stats) error {
+func optimizeGroup(ctx context.Context, d *model.Design, sv *matching.Solver, ids []model.CellID, delta0 int64, st *Stats) error {
 	n := len(ids)
 	pos := make([]geom.Pt, n)
 	for i, id := range ids {
@@ -195,17 +182,7 @@ func optimizeGroup(ctx context.Context, d *model.Design, sv *matching.Solver, op
 	for i := 0; i < n; i++ {
 		before += cost(i, i)
 	}
-	var (
-		assign []int
-		after  int64
-		ok     bool
-		err    error
-	)
-	if opt.WarmDuals {
-		assign, after, ok, err = sv.MinCostPerfectWarmContext(ctx, n, cost)
-	} else {
-		assign, after, ok, err = sv.MinCostPerfectContext(ctx, n, cost)
-	}
+	assign, after, ok, err := sv.Solve(ctx, n, cost)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@ import (
 func BenchmarkSimplexRefinementShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := RefinementGraph(5000, 7)
-		res, err := g.Solve()
+		res, err := solve(g, FirstEligible)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func BenchmarkSimplexTransport(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.Solve(); err != nil {
+		if _, err := solve(g, FirstEligible); err != nil {
 			b.Fatal(err)
 		}
 	}

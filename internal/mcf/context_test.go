@@ -22,26 +22,21 @@ func transportGraph() *Graph {
 func TestSolveContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := transportGraph().SolveContext(ctx)
+	var sv Solver
+	_, err := sv.Solve(ctx, transportGraph(), Auto)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveContext on cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("Solve on cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSolveContextClean(t *testing.T) {
-	res, err := transportGraph().SolveContext(context.Background())
-	if err != nil {
-		t.Fatalf("SolveContext: %v", err)
-	}
-	if res.Cost != 26 {
-		t.Errorf("cost = %d, want 26", res.Cost)
-	}
-	// The ctx-less facade must agree: nil ctx only disables polling.
-	plain, err := transportGraph().Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if plain.Cost != res.Cost {
-		t.Errorf("Solve cost %d != SolveContext cost %d", plain.Cost, res.Cost)
+	for _, rule := range allRules {
+		res, err := solve(transportGraph(), rule)
+		if err != nil {
+			t.Fatalf("%v: Solve: %v", rule, err)
+		}
+		if res.Cost != 26 {
+			t.Errorf("%v: cost = %d, want 26", rule, res.Cost)
+		}
 	}
 }

@@ -63,37 +63,3 @@ func CirculationGraph(n, m int, seed int64) *Graph {
 	}
 	return g
 }
-
-// PerturbCosts returns an update set changing about frac of g's arc
-// costs by a small multiplicative nudge (capacities unchanged) — the
-// "small perturbation" of the warm-start benchmark, shaped like the
-// cost drift between consecutive ECO iterations. Applying the updates
-// to a clone of g via ApplyUpdates reproduces the perturbed instance
-// for a cold cross-check.
-func PerturbCosts(g *Graph, frac float64, seed int64) []ArcUpdate {
-	rng := rand.New(rand.NewSource(seed))
-	var ups []ArcUpdate
-	for a, arc := range g.arcs {
-		if rng.Float64() >= frac {
-			continue
-		}
-		c := arc.Cost + int64(rng.Intn(7)-3)
-		ups = append(ups, ArcUpdate{Arc: a, Cost: c, Cap: arc.Cap})
-	}
-	return ups
-}
-
-// ApplyUpdates returns a copy of g with the updates applied — the
-// cold-solve twin of a Resolve call, for validation.
-func ApplyUpdates(g *Graph, ups []ArcUpdate) *Graph {
-	ng := &Graph{
-		supply: append([]int64(nil), g.supply...),
-		arcs:   append([]Arc(nil), g.arcs...),
-		err:    g.err,
-	}
-	for _, u := range ups {
-		ng.arcs[u.Arc].Cost = u.Cost
-		ng.arcs[u.Arc].Cap = u.Cap
-	}
-	return ng
-}

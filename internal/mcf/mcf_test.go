@@ -8,7 +8,7 @@ import (
 
 func solveBoth(t *testing.T, g *Graph) (*Result, *Result) {
 	t.Helper()
-	rs, err := g.Solve()
+	rs, err := solve(g, FirstEligible)
 	if err != nil {
 		t.Fatalf("simplex: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestInfeasibleDisconnected(t *testing.T) {
 	g.SetSupply(0, 5)
 	g.SetSupply(2, -5)
 	g.AddArc(0, 1, 10, 1) // node 2 unreachable
-	if _, err := g.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(g, FirstEligible); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("simplex err = %v, want infeasible", err)
 	}
 	if _, err := g.SolveSSP(); !errors.Is(err, ErrInfeasible) {
@@ -103,7 +103,7 @@ func TestInfeasibleCapacity(t *testing.T) {
 	g.SetSupply(0, 5)
 	g.SetSupply(1, -5)
 	g.AddArc(0, 1, 3, 1)
-	if _, err := g.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(g, FirstEligible); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want infeasible", err)
 	}
 }
@@ -111,7 +111,7 @@ func TestInfeasibleCapacity(t *testing.T) {
 func TestUnbalancedSupplies(t *testing.T) {
 	g := NewGraph(2)
 	g.SetSupply(0, 5)
-	if _, err := g.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(g, FirstEligible); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("err = %v, want infeasible", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestUnbalancedSupplies(t *testing.T) {
 func TestSelfLoopNegative(t *testing.T) {
 	g := NewGraph(1)
 	g.AddArc(0, 0, 4, -2)
-	rs, err := g.Solve()
+	rs, err := solve(g, FirstEligible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +161,8 @@ func TestBothPivotRulesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		g := randomGraph(rng, 8, 20, true)
-		r1, err1 := g.SolveWith(FirstEligible)
-		r2, err2 := g.SolveWith(BlockSearch)
+		r1, err1 := solve(g, FirstEligible)
+		r2, err2 := solve(g, CandidateList)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: feasibility disagreement %v vs %v", trial, err1, err2)
 		}
@@ -207,7 +207,7 @@ func TestRandomizedAgainstSSP(t *testing.T) {
 		n := 2 + rng.Intn(9)
 		m := 1 + rng.Intn(25)
 		g := randomGraph(rng, n, m, trial%2 == 0)
-		rs, errS := g.Solve()
+		rs, errS := solve(g, FirstEligible)
 		rp, errP := g.SolveSSP()
 		if (errS == nil) != (errP == nil) {
 			t.Fatalf("trial %d: simplex err %v, ssp err %v", trial, errS, errP)
@@ -242,7 +242,7 @@ func TestLargeChainPerformance(t *testing.T) {
 	for v := 0; v+1 < n; v++ {
 		g.AddArc(v, v+1, 200, int64(v%7)+1)
 	}
-	rs, err := g.Solve()
+	rs, err := solve(g, FirstEligible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestVerifyOptimalCatchesBadResults(t *testing.T) {
 	g.SetSupply(0, 1)
 	g.SetSupply(1, -1)
 	g.AddArc(0, 1, 5, 3)
-	rs, err := g.Solve()
+	rs, err := solve(g, FirstEligible)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestAddArcRecordsBuildError(t *testing.T) {
 		t.Errorf("invalid arcs appended: %d", g.NumArcs())
 	}
 	// Every solver refuses a malformed graph with the recorded error.
-	if _, err := g.Solve(); !errors.As(err, &be) {
+	if _, err := solve(g, FirstEligible); !errors.As(err, &be) {
 		t.Errorf("Solve err = %v, want *BuildError", err)
 	}
 	if _, err := g.SolveSSP(); !errors.As(err, &be) {

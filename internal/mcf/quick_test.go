@@ -1,6 +1,7 @@
 package mcf
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,7 +16,7 @@ func TestQuickSimplexEqualsSSP(t *testing.T) {
 		n := int(nRaw%8) + 2
 		m := int(mRaw%20) + 1
 		g := randomGraph(rng, n, m, seed%2 == 0)
-		rs, errS := g.Solve()
+		rs, errS := solve(g, FirstEligible)
 		rp, errP := g.SolveSSP()
 		if (errS == nil) != (errP == nil) {
 			return false
@@ -40,7 +41,7 @@ func TestQuickCostScaling(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		k := int64(kRaw%7) + 1
 		g := randomGraph(rng, 6, 14, true)
-		r1, err1 := g.Solve()
+		r1, err1 := solve(g, FirstEligible)
 		g2 := NewGraph(g.NumNodes())
 		for v := 0; v < g.NumNodes(); v++ {
 			g2.SetSupply(v, g.supply[v])
@@ -49,7 +50,7 @@ func TestQuickCostScaling(t *testing.T) {
 			arc := g.Arc(a)
 			g2.AddArc(arc.From, arc.To, arc.Cap, arc.Cost*k)
 		}
-		r2, err2 := g2.Solve()
+		r2, err2 := solve(g2, FirstEligible)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -69,7 +70,7 @@ func TestQuickMirrorSymmetry(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 6, 12, true)
-		r1, err1 := g.Solve()
+		r1, err1 := solve(g, FirstEligible)
 		g2 := NewGraph(g.NumNodes())
 		for v := 0; v < g.NumNodes(); v++ {
 			g2.SetSupply(v, -g.supply[v])
@@ -78,7 +79,7 @@ func TestQuickMirrorSymmetry(t *testing.T) {
 			arc := g.Arc(a)
 			g2.AddArc(arc.To, arc.From, arc.Cap, arc.Cost)
 		}
-		r2, err2 := g2.Solve()
+		r2, err2 := solve(g2, FirstEligible)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -100,7 +101,7 @@ func TestQuickCostScalingEqualsSimplex(t *testing.T) {
 		n := int(nRaw%8) + 2
 		m := int(mRaw%22) + 1
 		g := randomGraph(rng, n, m, seed%2 == 1)
-		rs, errS := g.Solve()
+		rs, errS := solve(g, FirstEligible)
 		rc, errC := g.SolveCostScaling()
 		if (errS == nil) != (errC == nil) {
 			return false
@@ -118,7 +119,7 @@ func TestQuickCostScalingEqualsSimplex(t *testing.T) {
 	}
 }
 
-// Property (a): all three pivot rules and all three solvers agree on
+// Property (a): both pivot rules and all three solvers agree on
 // feasibility and optimal cost for arbitrary random instances, and
 // every simplex solution verifies.
 func TestQuickAllRulesAllSolversAgree(t *testing.T) {
@@ -127,9 +128,9 @@ func TestQuickAllRulesAllSolversAgree(t *testing.T) {
 		n := int(nRaw%8) + 2
 		m := int(mRaw%24) + 1
 		g := randomGraph(rng, n, m, seed%2 == 0)
-		rs, errS := g.SolveWith(FirstEligible)
-		for _, rule := range []PivotRule{BlockSearch, CandidateList} {
-			r, err := g.SolveWith(rule)
+		rs, errS := solve(g, FirstEligible)
+		for _, rule := range allRules[1:] { // every rule but FirstEligible
+			r, err := solve(g, rule)
 			if (errS == nil) != (err == nil) {
 				return false
 			}
@@ -155,48 +156,7 @@ func TestQuickAllRulesAllSolversAgree(t *testing.T) {
 	}
 }
 
-// Property (b): Resolve after arbitrary random cost/capacity
-// perturbations equals a cold Solve on the perturbed graph exactly
-// (optimal cost and a verified certificate).
-func TestQuickResolveEqualsCold(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%8) + 2
-		m := int(mRaw%24) + 1
-		g := randomGraph(rng, n, m, true)
-		sv := NewSolver()
-		if _, err := sv.SolveWith(g, FirstEligible); err != nil {
-			return true // infeasible base: nothing to resolve from
-		}
-		var ups []ArcUpdate
-		for a := 0; a < g.NumArcs(); a++ {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			arc := g.Arc(a)
-			ncap := arc.Cap + int64(rng.Intn(9)-4)
-			if ncap < 0 {
-				ncap = 0
-			}
-			ups = append(ups, ArcUpdate{Arc: a, Cost: arc.Cost + int64(rng.Intn(13)-6), Cap: ncap})
-		}
-		pg := ApplyUpdates(g, ups)
-		warm, werr := sv.Resolve(ups)
-		cold, cerr := pg.Solve()
-		if (werr == nil) != (cerr == nil) {
-			return false
-		}
-		if werr != nil {
-			return true
-		}
-		return warm.Cost == cold.Cost && pg.VerifyOptimal(warm) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property (c): a Solver reused across a randomized instance sequence
+// Property: a Solver reused across a randomized instance sequence
 // matches fresh-solver results byte-for-byte at every step.
 func TestQuickSolverReuseByteIdentical(t *testing.T) {
 	f := func(seed int64) bool {
@@ -207,9 +167,8 @@ func TestQuickSolverReuseByteIdentical(t *testing.T) {
 			m := 1 + rng.Intn(30)
 			g := randomGraph(rng, n, m, it%2 == 0)
 			rule := allRules[it%len(allRules)]
-			var fresh Solver
-			fr, ferr := fresh.SolveWith(g, rule)
-			rr, rerr := reused.SolveWith(g, rule)
+			fr, ferr := solve(g, rule)
+			rr, rerr := reused.Solve(context.Background(), g, rule)
 			if (ferr == nil) != (rerr == nil) {
 				return false
 			}

@@ -18,9 +18,7 @@ const (
 	// enters the first arc that violates its optimality condition.
 	// This is the rule named by the paper (Section 3.3.1).
 	FirstEligible
-	// BlockSearch scans a block of arcs and enters the most violating
-	// arc of the block; usually faster on large instances.
-	BlockSearch
+	_ // retired rule; the gap keeps CandidateList's reported value stable
 	// CandidateList keeps a queue of eligible arcs found by a major
 	// scan and serves minor pivots from it (most violating first),
 	// dropping entries that have gone stale; LEMON's default rule.
@@ -40,8 +38,6 @@ func (r PivotRule) String() string {
 		return "auto"
 	case FirstEligible:
 		return "first-eligible"
-	case BlockSearch:
-		return "block-search"
 	case CandidateList:
 		return "candidate-list"
 	default:
@@ -58,9 +54,10 @@ func resolveRule(rule PivotRule, total int) (PivotRule, error) {
 			return FirstEligible, nil
 		}
 		return CandidateList, nil
-	case FirstEligible, BlockSearch, CandidateList:
+	case FirstEligible, CandidateList:
 		return rule, nil
 	default:
+		//mclegal:alloc error path: an unknown rule is rejected before any solver state is touched
 		return rule, fmt.Errorf("mcf: unknown pivot rule %d", rule)
 	}
 }
@@ -72,12 +69,6 @@ var ErrInfeasible = errors.New("mcf: infeasible problem")
 // the pivot loop's default case; unreachable because every caller
 // validates the rule first.
 var errUnknownRule = errors.New("mcf: unknown pivot rule")
-
-// errPivotLimit is an internal signal: a warm-started run exceeded its
-// pivot budget (the repaired basis is not strongly feasible, so the
-// anti-cycling guarantee of the cold start does not apply) and the
-// solver should rebuild the all-artificial basis and solve cold.
-var errPivotLimit = errors.New("mcf: pivot limit exceeded")
 
 const (
 	stateLower int8 = 1
@@ -91,45 +82,18 @@ const (
 // within a bounded amount of work.
 const ctxCheckInterval = 1024
 
-// Solve runs the network simplex with the FirstEligible pivot rule.
-func (g *Graph) Solve() (*Result, error) { return g.SolveWith(FirstEligible) }
-
-// SolveContext is Solve with cancellation: the pivot loop polls ctx
-// every ctxCheckInterval pivots and returns ctx.Err() once it is
-// cancelled or past its deadline.
-func (g *Graph) SolveContext(ctx context.Context) (*Result, error) {
-	return g.SolveWithContext(ctx, FirstEligible)
-}
-
-// SolveWith runs the network simplex with the given pivot rule and
-// returns optimal flows, potentials and cost.
-func (g *Graph) SolveWith(rule PivotRule) (*Result, error) { return g.solve(nil, rule) }
-
-// SolveWithContext is SolveWith with the cancellation behaviour of
-// SolveContext.
-func (g *Graph) SolveWithContext(ctx context.Context, rule PivotRule) (*Result, error) {
-	return g.solve(ctx, rule)
-}
-
-func (g *Graph) solve(ctx context.Context, rule PivotRule) (*Result, error) {
-	var sv Solver
-	return sv.solveGraph(ctx, g, rule)
-}
-
 // simplex is the solver state: one spanning tree over the n real nodes
 // plus an artificial root, with one artificial big-M arc per node
-// (arcs m..m+n-1) so any basis can be repaired back to feasibility.
+// (arcs m..m+n-1) so the starting basis is feasible for any supplies.
 // All arrays are sized once per instance shape and reused across
 // solves by the owning Solver.
 type simplex struct {
 	n, m, root int
-	ctx        context.Context // nil: cancellation disabled
 
 	from, to   []int32
 	cap, cost  []int64
 	flow       []int64
 	state      []int8
-	supply     []int64 // copy of the instance supplies (Resolve needs them)
 	parent     []int32
 	parentArc  []int32
 	children   [][]int32
@@ -138,16 +102,14 @@ type simplex struct {
 	visited    []int32 // join-search stamps
 	stamp      int32
 	pivots     int
-	scanPos    int     // next arc to examine (first-eligible / block start)
+	scanPos    int     // next arc to examine (cyclic scans)
 	cand       []int32 // candidate-list queue (most recent major scan)
 	subtreeBuf []int32
-	excess     []int64 // basis-repair scratch: per-node imbalance
-	orderBuf   []int32 // basis-repair scratch: tree preorder
 }
 
-// init sizes the state for g and copies its arcs and supplies, growing
-// the scratch arrays only when the shape outgrows their capacity, then
-// builds the initial all-artificial basis.
+// init sizes the state for g and copies its arcs, growing the scratch
+// arrays only when the shape outgrows their capacity, then builds the
+// initial all-artificial basis.
 func (s *simplex) init(g *Graph) {
 	n := len(g.supply)
 	m := len(g.arcs)
@@ -174,7 +136,6 @@ func (s *simplex) init(g *Graph) {
 		s.cap[a] = arc.Cap
 		s.cost[a] = arc.Cost
 	}
-	s.supply = append(s.supply[:0], g.supply...)
 
 	nn := n + 1
 	if cap(s.parent) < nn {
@@ -196,15 +157,13 @@ func (s *simplex) init(g *Graph) {
 	} else {
 		s.children = s.children[:nn]
 	}
-	s.buildInitialBasis()
+	s.buildInitialBasis(g.supply)
 }
 
 // buildInitialBasis resets flows and states to the all-artificial
 // strongly feasible tree: every node hangs off the artificial root
-// through an artificial arc oriented by its supply sign. It reads only
-// s.from/to/cost for the real arcs and s.supply, so a warm start that
-// went off the rails can rebuild the cold basis without the Graph.
-func (s *simplex) buildInitialBasis() {
+// through an artificial arc oriented by its supply sign.
+func (s *simplex) buildInitialBasis(supply []int64) {
 	n, m := s.n, s.m
 	var artCost int64 = 1
 	for a := 0; a < m; a++ {
@@ -221,7 +180,7 @@ func (s *simplex) buildInitialBasis() {
 	}
 	for v := 0; v < n; v++ {
 		a := m + v
-		b := s.supply[v]
+		b := supply[v]
 		if b >= 0 {
 			s.from[a] = int32(v)
 			s.to[a] = int32(s.root)
@@ -269,19 +228,13 @@ func (s *simplex) eligible(a int) bool {
 	return false
 }
 
-// runPivots drives the simplex to optimality under rule. limit > 0
-// bounds the number of pivots (warm starts lose the strong-feasibility
-// anti-cycling guarantee, so the caller imposes a budget and falls
-// back to a cold basis on errPivotLimit); limit == 0 is unbounded.
-func (s *simplex) runPivots(rule PivotRule, limit int) error {
+// runPivots drives the simplex to optimality under rule, polling ctx
+// every ctxCheckInterval pivots. The all-artificial start is strongly
+// feasible and every pivot keeps it so, which rules out cycling.
+func (s *simplex) runPivots(ctx context.Context, rule PivotRule) error {
 	total := s.m + s.n
 	if total == 0 {
 		return nil
-	}
-	blockSize := 64
-	for bs := blockSize; bs*bs < total; {
-		bs *= 2
-		blockSize = bs
 	}
 	// Candidate-list sizing (LEMON's proportions): list length about
 	// sqrt(total)/4 with a floor, minor iterations about a tenth of it.
@@ -301,14 +254,11 @@ func (s *simplex) runPivots(rule PivotRule, limit int) error {
 	minorLeft := 0
 	s.cand = s.cand[:0]
 	for {
-		if s.ctx != nil && s.pivots%ctxCheckInterval == 0 {
+		if s.pivots%ctxCheckInterval == 0 {
 			//mclegal:alloc ctx.Err is an interface call on the cancellation path only
-			if err := s.ctx.Err(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-		}
-		if limit > 0 && s.pivots >= limit {
-			return errPivotLimit
 		}
 		in := -1
 		switch rule {
@@ -321,33 +271,6 @@ func (s *simplex) runPivots(rule PivotRule, limit int) error {
 				}
 				if s.eligible(a) {
 					in = a
-					break
-				}
-			}
-		case BlockSearch:
-			remaining := total
-			for remaining > 0 {
-				end := s.scanPos + blockSize
-				var best int64
-				for a := s.scanPos; a < end && a < total; a++ {
-					if !s.eligible(a) {
-						continue
-					}
-					v := s.reducedCost(a)
-					if v < 0 {
-						v = -v
-					}
-					if v > best {
-						best = v
-						in = a
-					}
-				}
-				remaining -= end - s.scanPos
-				s.scanPos = end
-				if s.scanPos >= total {
-					s.scanPos = 0
-				}
-				if in >= 0 {
 					break
 				}
 			}
@@ -583,162 +506,4 @@ func (s *simplex) removeChild(v int32) {
 		s.childIdx[moved] = i
 	}
 	s.children[p] = cs[:last]
-}
-
-// repairBasis makes the stored spanning tree primal feasible again
-// after arc cost/capacity updates. Non-tree arcs snap to their bound
-// under the new capacities; tree-arc flows are recomputed bottom-up
-// from conservation; a tree arc pushed outside [0, cap] is clamped to
-// its nearer bound and demoted to non-tree, with its node re-attached
-// to the root through the node's artificial arc, which carries the
-// residual imbalance. Potentials are then re-priced over the repaired
-// tree so every tree arc has reduced cost zero.
-func (s *simplex) repairBasis() {
-	n, m := s.n, s.m
-	total := m + n
-
-	// Costs changed, so the big-M of the artificial arcs must again
-	// dominate every real cost.
-	var artCost int64 = 1
-	for a := 0; a < m; a++ {
-		c := s.cost[a]
-		if c < 0 {
-			c = -c
-		}
-		artCost += c
-	}
-	for a := m; a < total; a++ {
-		s.cost[a] = artCost
-	}
-
-	// Non-tree arcs sit at a bound under the new capacities.
-	for a := 0; a < total; a++ {
-		switch s.state[a] {
-		case stateLower:
-			s.flow[a] = 0
-		case stateUpper:
-			s.flow[a] = s.cap[a]
-		case stateTree:
-			// recomputed below
-		}
-	}
-
-	// Per-node imbalance from supplies and non-tree flows; tree-arc
-	// flows must drain it toward the root.
-	nn := n + 1
-	if cap(s.excess) < nn {
-		s.excess = make([]int64, nn)
-	} else {
-		s.excess = s.excess[:nn]
-	}
-	for v := 0; v < n; v++ {
-		s.excess[v] = s.supply[v]
-	}
-	s.excess[s.root] = 0
-	for a := 0; a < total; a++ {
-		if s.state[a] == stateTree {
-			continue
-		}
-		s.excess[s.from[a]] -= s.flow[a]
-		s.excess[s.to[a]] += s.flow[a]
-	}
-
-	// Tree preorder, then process leaves-first so every node sees its
-	// children's carried flow before its own parent arc is set.
-	s.orderBuf = s.orderBuf[:0]
-	stack := s.subtreeBuf[:0]
-	stack = append(stack, int32(s.root))
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		s.orderBuf = append(s.orderBuf, v)
-		stack = append(stack, s.children[v]...)
-	}
-	s.subtreeBuf = stack[:0]
-	for i := len(s.orderBuf) - 1; i >= 0; i-- {
-		v := s.orderBuf[i]
-		if int(v) == s.root {
-			continue
-		}
-		a := int(s.parentArc[v])
-		e := s.excess[v]
-		oldParent := s.parent[v]
-		var f int64
-		if s.from[a] == v {
-			f = e
-		} else {
-			f = -e
-		}
-		if a >= m {
-			// Artificial arc: solver-owned, re-orientable, unbounded.
-			if f < 0 {
-				s.from[a], s.to[a] = s.to[a], s.from[a]
-				f = -f
-			}
-			s.flow[a] = f
-			s.excess[oldParent] += e
-			continue
-		}
-		if f >= 0 && f <= s.cap[a] {
-			s.flow[a] = f
-			s.excess[oldParent] += e
-			continue
-		}
-		// Infeasible tree arc: clamp to the nearer bound, demote to
-		// non-tree, and re-attach v under the root via its artificial
-		// arc, which carries the residual imbalance.
-		var bound int64
-		if f > s.cap[a] {
-			bound = s.cap[a]
-			s.state[a] = stateUpper
-		} else {
-			s.state[a] = stateLower
-		}
-		s.flow[a] = bound
-		var carried int64
-		if s.from[a] == v {
-			carried = bound
-		} else {
-			carried = -bound
-		}
-		s.excess[oldParent] += carried
-		rem := e - carried
-		art := m + int(v)
-		s.removeChild(v)
-		s.parent[v] = int32(s.root)
-		s.parentArc[v] = int32(art)
-		s.childIdx[v] = int32(len(s.children[s.root]))
-		s.children[s.root] = append(s.children[s.root], v)
-		s.from[art] = v
-		s.to[art] = int32(s.root)
-		if rem < 0 {
-			s.from[art], s.to[art] = s.to[art], s.from[art]
-			rem = -rem
-		}
-		s.flow[art] = rem
-		s.state[art] = stateTree
-	}
-
-	// Re-price: every tree arc must have reduced cost zero under the
-	// (possibly repaired) tree and new costs.
-	s.pi[s.root] = 0
-	stack = s.subtreeBuf[:0]
-	stack = append(stack, int32(s.root))
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, c := range s.children[v] {
-			a := s.parentArc[c]
-			if s.from[a] == c {
-				s.pi[c] = s.pi[v] + s.cost[a]
-			} else {
-				s.pi[c] = s.pi[v] - s.cost[a]
-			}
-			stack = append(stack, c)
-		}
-	}
-	s.subtreeBuf = stack[:0]
-	s.pivots = 0
-	s.scanPos = 0
-	s.cand = s.cand[:0]
 }

@@ -1,29 +1,13 @@
-// Solver-owned state and warm starts. A Solver owns every scratch
-// array of the network simplex and is reused across solves: repeated
-// solves of same-shape instances (the per-row refinement LPs, the ECO
-// re-legalization loop) pay no per-call allocation after the first
-// solve, and Resolve continues from the previous optimal basis instead
-// of the all-artificial tree.
+// Solver-owned state. A Solver owns every scratch array of the network
+// simplex and is reused across solves: repeated solves of same-shape
+// instances (the per-row refinement LPs of one design) pay no per-call
+// allocation after the first solve.
 package mcf
 
 import (
 	"context"
-	"errors"
 	"fmt"
 )
-
-// ErrNoBasis is returned by Resolve when the Solver has no stored
-// basis to warm-start from (no prior successful Solve).
-var ErrNoBasis = errors.New("mcf: Resolve without a stored basis (call Solve first)")
-
-// ArcUpdate changes the cost and capacity of one real arc between a
-// Solve and a Resolve. Both fields are absolute new values, not
-// deltas; endpoints and the node set cannot change.
-type ArcUpdate struct {
-	Arc  int   // arc index, in AddArc order
-	Cost int64 // new cost
-	Cap  int64 // new capacity (must be >= 0)
-}
 
 // Solver is a reusable network-simplex instance. The zero value is
 // ready to use. A Solver is not safe for concurrent use.
@@ -32,22 +16,16 @@ type ArcUpdate struct {
 // are valid until the next call on the same Solver. Callers that need
 // the values past that must copy them.
 type Solver struct {
-	sx       simplex
-	res      Result
-	hasBasis bool
-	updBuf   []ArcUpdate // SolveGraphContext diff scratch
-	stats    SolverStats
+	sx    simplex
+	res   Result
+	stats SolverStats
 }
 
-// SolverStats counts a Solver's activity since creation.
+// SolverStats describes a Solver's most recent solve.
 type SolverStats struct {
-	ColdSolves int // full solves from the all-artificial basis
-	WarmSolves int // Resolve calls continuing from a stored basis
 	// LastRule is the concrete rule of the most recent solve (Auto
-	// already resolved); LastPivots its pivot count.
-	LastRule    PivotRule
-	LastPivots  int
-	TotalPivots int64
+	// already resolved).
+	LastRule PivotRule
 }
 
 // NewSolver returns an empty Solver. Equivalent to new(Solver).
@@ -56,96 +34,13 @@ func NewSolver() *Solver { return &Solver{} }
 // Stats returns the solve counters.
 func (sv *Solver) Stats() SolverStats { return sv.stats }
 
-// Solve solves g cold with the Auto pivot rule, storing the optimal
-// basis for later Resolve calls.
-func (sv *Solver) Solve(g *Graph) (*Result, error) { return sv.solveGraph(nil, g, Auto) }
-
-// SolveContext is Solve with cancellation (see Graph.SolveContext).
-func (sv *Solver) SolveContext(ctx context.Context, g *Graph) (*Result, error) {
-	return sv.solveGraph(ctx, g, Auto)
-}
-
-// SolveWith is Solve with an explicit pivot rule.
-func (sv *Solver) SolveWith(g *Graph, rule PivotRule) (*Result, error) {
-	return sv.solveGraph(nil, g, rule)
-}
-
-// SolveWithContext is SolveWith with cancellation.
-func (sv *Solver) SolveWithContext(ctx context.Context, g *Graph, rule PivotRule) (*Result, error) {
-	return sv.solveGraph(ctx, g, rule)
-}
-
-// Resolve re-optimizes after the given arc updates, warm-starting from
-// the basis stored by the previous solve, with the Auto pivot rule.
-// The node set, arc endpoints and supplies are those of the previous
-// instance; only costs and capacities may change. The result is
-// exactly optimal for the updated instance — the warm start changes
-// the path to the optimum, never the optimum.
-func (sv *Solver) Resolve(updates []ArcUpdate) (*Result, error) {
-	return sv.resolveChecked(nil, updates, Auto)
-}
-
-// ResolveContext is Resolve with cancellation.
-func (sv *Solver) ResolveContext(ctx context.Context, updates []ArcUpdate) (*Result, error) {
-	return sv.resolveChecked(ctx, updates, Auto)
-}
-
-// ResolveWith is Resolve with an explicit pivot rule.
-func (sv *Solver) ResolveWith(updates []ArcUpdate, rule PivotRule) (*Result, error) {
-	return sv.resolveChecked(nil, updates, rule)
-}
-
-// ResolveWithContext is ResolveWith with cancellation.
-func (sv *Solver) ResolveWithContext(ctx context.Context, updates []ArcUpdate, rule PivotRule) (*Result, error) {
-	return sv.resolveChecked(ctx, updates, rule)
-}
-
-// SolveGraphContext solves g, warm-starting when g has the same shape
-// as the previously solved instance (same node count, supplies, arc
-// count and endpoints): the cost/capacity differences become an update
-// set for the warm path. Otherwise it solves cold. The returned bool
-// reports whether the solve was warm-started. This is the entry point
-// for callers like refine that rebuild a Graph per iteration but whose
-// consecutive graphs usually share a shape.
-func (sv *Solver) SolveGraphContext(ctx context.Context, g *Graph, rule PivotRule) (*Result, bool, error) {
-	if g.err != nil {
-		return nil, false, g.err
-	}
-	if sv.sameShape(g) {
-		sv.updBuf = sv.updBuf[:0]
-		for a, arc := range g.arcs {
-			if sv.sx.cost[a] != arc.Cost || sv.sx.cap[a] != arc.Cap {
-				sv.updBuf = append(sv.updBuf, ArcUpdate{Arc: a, Cost: arc.Cost, Cap: arc.Cap})
-			}
-		}
-		res, err := sv.resolveChecked(ctx, sv.updBuf, rule)
-		return res, true, err
-	}
-	res, err := sv.solveGraph(ctx, g, rule)
-	return res, false, err
-}
-
-// sameShape reports whether g matches the stored instance in all the
-// ways Resolve cannot repair: node count, supplies, arc count and
-// endpoints.
-func (sv *Solver) sameShape(g *Graph) bool {
-	if !sv.hasBasis || len(g.supply) != sv.sx.n || len(g.arcs) != sv.sx.m {
-		return false
-	}
-	for v, b := range g.supply {
-		if sv.sx.supply[v] != b {
-			return false
-		}
-	}
-	for a, arc := range g.arcs {
-		if int(sv.sx.from[a]) != arc.From || int(sv.sx.to[a]) != arc.To {
-			return false
-		}
-	}
-	return true
-}
-
-func (sv *Solver) solveGraph(ctx context.Context, g *Graph, rule PivotRule) (*Result, error) {
+// Solve runs the network simplex on g from the all-artificial basis
+// under rule and returns optimal flows, potentials and cost. The pivot
+// loop polls ctx every ctxCheckInterval pivots and returns ctx.Err()
+// once it is cancelled or past its deadline.
+//
+//mclegal:hotpath reused cold-solve path; TestReusedColdSolveZeroAlloc pins reused Solvers to 0 allocs/op
+func (sv *Solver) Solve(ctx context.Context, g *Graph, rule PivotRule) (*Result, error) {
 	if g.err != nil {
 		return nil, g.err
 	}
@@ -154,85 +49,25 @@ func (sv *Solver) solveGraph(ctx context.Context, g *Graph, rule PivotRule) (*Re
 		sum += b
 	}
 	if sum != 0 {
+		//mclegal:alloc error path: an unbalanced instance is rejected before any solver state is touched
 		return nil, fmt.Errorf("mcf: supplies sum to %d, want 0: %w", sum, ErrInfeasible)
 	}
 	rule, err := resolveRule(rule, len(g.arcs)+len(g.supply))
 	if err != nil {
 		return nil, err
 	}
-	sv.hasBasis = false
 	sv.sx.init(g)
-	sv.sx.ctx = ctx
-	if err := sv.sx.runPivots(rule, 0); err != nil {
+	if err := sv.sx.runPivots(ctx, rule); err != nil {
 		return nil, err
 	}
-	sv.stats.ColdSolves++
-	return sv.finish(rule)
-}
-
-// resolveChecked validates the updates and rule, then enters the
-// allocation-free warm path.
-func (sv *Solver) resolveChecked(ctx context.Context, updates []ArcUpdate, rule PivotRule) (*Result, error) {
-	if !sv.hasBasis {
-		return nil, ErrNoBasis
-	}
-	for _, u := range updates {
-		if u.Arc < 0 || u.Arc >= sv.sx.m {
-			return nil, fmt.Errorf("mcf: Resolve: arc %d out of range [0,%d)", u.Arc, sv.sx.m)
-		}
-		if u.Cap < 0 {
-			return nil, fmt.Errorf("mcf: Resolve: arc %d: negative capacity %d", u.Arc, u.Cap)
-		}
-	}
-	rule, err := resolveRule(rule, sv.sx.m+sv.sx.n)
-	if err != nil {
-		return nil, err
-	}
-	return sv.resolve(ctx, updates, rule)
-}
-
-// warmPivotBudget bounds a warm-started run: the repaired basis is not
-// strongly feasible, so Cunningham's anti-cycling argument does not
-// apply and the solver hedges with a generous pivot budget before
-// rebuilding the cold basis (which is strongly feasible and cannot
-// cycle). The budget is far above observed warm pivot counts — hitting
-// it costs one cold solve, never correctness.
-func warmPivotBudget(total int) int { return 64*total + 4096 }
-
-// resolve is the warm-start path: apply the updates to the stored
-// instance, repair and re-price the basis, then pivot to optimality.
-//
-//mclegal:hotpath warm-start resolve path; TestResolveZeroAlloc pins reused Solvers to 0 allocs/op
-func (sv *Solver) resolve(ctx context.Context, updates []ArcUpdate, rule PivotRule) (*Result, error) {
-	s := &sv.sx
-	s.ctx = ctx
-	for _, u := range updates {
-		s.cost[u.Arc] = u.Cost
-		s.cap[u.Arc] = u.Cap
-	}
-	s.repairBasis()
-	err := s.runPivots(rule, warmPivotBudget(s.m+s.n))
-	if err == errPivotLimit {
-		// Degenerate warm start: rebuild the strongly feasible cold
-		// basis from the stored instance and finish without a budget.
-		s.buildInitialBasis()
-		err = s.runPivots(rule, 0)
-	}
-	if err != nil {
-		return nil, err
-	}
-	sv.stats.WarmSolves++
 	return sv.finish(rule)
 }
 
 // finish records stats, checks feasibility and assembles the reused
-// Result. It is on the warm hot path: no allocation.
+// Result without allocating.
 func (sv *Solver) finish(rule PivotRule) (*Result, error) {
 	s := &sv.sx
 	sv.stats.LastRule = rule
-	sv.stats.LastPivots = s.pivots
-	sv.stats.TotalPivots += int64(s.pivots)
-	sv.hasBasis = true // the tree is a valid basis even when infeasible
 	for a := s.m; a < s.m+s.n; a++ {
 		if s.flow[a] != 0 {
 			return nil, ErrInfeasible

@@ -2,13 +2,18 @@ package mcf
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-var allRules = []PivotRule{FirstEligible, BlockSearch, CandidateList}
+var allRules = []PivotRule{FirstEligible, CandidateList}
+
+// solve runs g on a fresh Solver under rule without cancellation.
+func solve(g *Graph, rule PivotRule) (*Result, error) {
+	var sv Solver
+	return sv.Solve(context.Background(), g, rule)
+}
 
 // sameResult asserts byte-for-byte equality of two results.
 func sameResult(t *testing.T, label string, a, b *Result) {
@@ -30,9 +35,8 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 			n := 2 + rng.Intn(30)
 			m := 1 + rng.Intn(80)
 			g := randomGraph(rng, n, m, true)
-			var fresh Solver
-			fr, ferr := fresh.SolveWith(g, rule)
-			rr, rerr := reused.SolveWith(g, rule)
+			fr, ferr := solve(g, rule)
+			rr, rerr := reused.Solve(context.Background(), g, rule)
 			if (ferr == nil) != (rerr == nil) {
 				t.Fatalf("rule %v it %d: fresh err %v, reused err %v", rule, it, ferr, rerr)
 			}
@@ -47,92 +51,8 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// Resolve after random cost/capacity perturbations must equal a cold
-// solve on the perturbed graph exactly — same optimal cost, and an
-// optimality certificate against the perturbed instance (satellite
-// property (b)). Capacity shrinks below the current flow exercise the
-// basis-repair clamp path.
-func TestResolveEqualsColdSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for it := 0; it < 60; it++ {
-		n := 3 + rng.Intn(20)
-		m := 2 + rng.Intn(60)
-		g := randomGraph(rng, n, m, true)
-		sv := NewSolver()
-		base, err := sv.SolveWith(g, FirstEligible)
-		if err != nil {
-			continue // infeasible base instance: nothing to warm-start
-		}
-		_ = base
-		var ups []ArcUpdate
-		for a, arc := range g.arcs {
-			if rng.Intn(3) != 0 {
-				continue
-			}
-			nc := arc.Cost + int64(rng.Intn(11)-5)
-			ncap := arc.Cap + int64(rng.Intn(7)-3)
-			if ncap < 0 {
-				ncap = 0
-			}
-			ups = append(ups, ArcUpdate{Arc: a, Cost: nc, Cap: ncap})
-		}
-		pg := ApplyUpdates(g, ups)
-		warm, werr := sv.ResolveWith(ups, FirstEligible)
-		cold, cerr := pg.SolveWith(FirstEligible)
-		if (werr == nil) != (cerr == nil) {
-			t.Fatalf("it %d: warm err %v, cold err %v", it, werr, cerr)
-		}
-		if werr != nil {
-			if !errors.Is(werr, ErrInfeasible) {
-				t.Fatalf("it %d: unexpected warm error %v", it, werr)
-			}
-			continue
-		}
-		if warm.Cost != cold.Cost {
-			t.Fatalf("it %d: warm cost %d != cold cost %d", it, warm.Cost, cold.Cost)
-		}
-		if err := pg.VerifyOptimal(warm); err != nil {
-			t.Fatalf("it %d: warm result not optimal on perturbed graph: %v", it, err)
-		}
-	}
-}
-
-// A Resolve chain (many perturbations without intervening cold solves)
-// must stay exact: each step is checked against a cold solve.
-func TestResolveChainStaysExact(t *testing.T) {
-	g := RefinementGraph(120, 5)
-	sv := NewSolver()
-	if _, err := sv.Solve(g); err != nil {
-		t.Fatal(err)
-	}
-	cur := g
-	rng := rand.New(rand.NewSource(7))
-	for step := 0; step < 20; step++ {
-		ups := PerturbCosts(cur, 0.2, rng.Int63())
-		cur = ApplyUpdates(cur, ups)
-		warm, err := sv.Resolve(ups)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		cold, err := cur.Solve()
-		if err != nil {
-			t.Fatalf("step %d cold: %v", step, err)
-		}
-		if warm.Cost != cold.Cost {
-			t.Fatalf("step %d: warm cost %d != cold %d", step, warm.Cost, cold.Cost)
-		}
-		if err := cur.VerifyOptimal(warm); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	st := sv.Stats()
-	if st.ColdSolves != 1 || st.WarmSolves != 20 {
-		t.Errorf("stats = %+v, want 1 cold / 20 warm", st)
-	}
-}
-
-// All three pivot rules and all three solvers (simplex, cost scaling,
-// SSP) agree on the optimal cost of the benchmark graph families
+// Both pivot rules and all three solvers (simplex, cost scaling, SSP)
+// agree on the optimal cost of the benchmark graph families
 // (satellite property (a) at family shapes; the quick-check variant in
 // quick_test.go covers arbitrary random graphs).
 func TestAllRulesAndSolversAgreeOnFamilies(t *testing.T) {
@@ -144,7 +64,7 @@ func TestAllRulesAndSolversAgreeOnFamilies(t *testing.T) {
 	for name, g := range graphs {
 		var want int64
 		for i, rule := range allRules {
-			res, err := g.SolveWith(rule)
+			res, err := solve(g, rule)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, rule, err)
 			}
@@ -166,97 +86,19 @@ func TestAllRulesAndSolversAgreeOnFamilies(t *testing.T) {
 	}
 }
 
-// SolveGraphContext warm-starts on a same-shape graph and solves cold
-// otherwise, reporting which path it took.
-func TestSolveGraphContextWarmDetection(t *testing.T) {
-	g := RefinementGraph(60, 9)
-	sv := NewSolver()
-	res, warm, err := sv.SolveGraphContext(context.Background(), g, Auto)
-	if err != nil || warm {
-		t.Fatalf("first solve: warm=%v err=%v, want cold success", warm, err)
-	}
-	first := res.Cost
-	// Same shape, nudged costs: must warm-start and match a cold solve.
-	pg := ApplyUpdates(g, PerturbCosts(g, 0.3, 2))
-	res, warm, err = sv.SolveGraphContext(context.Background(), pg, Auto)
-	if err != nil || !warm {
-		t.Fatalf("perturbed solve: warm=%v err=%v, want warm success", warm, err)
-	}
-	cold, err := pg.Solve()
-	if err != nil || cold.Cost != res.Cost {
-		t.Fatalf("warm cost %d, cold cost %v (err %v)", res.Cost, cold, err)
-	}
-	// Identical graph again: zero updates, zero pivots, same cost.
-	res, warm, err = sv.SolveGraphContext(context.Background(), pg, Auto)
-	if err != nil || !warm || res.Pivots != 0 || res.Cost != cold.Cost {
-		t.Fatalf("identical re-solve: warm=%v pivots=%d cost=%d err=%v", warm, res.Pivots, res.Cost, err)
-	}
-	// Different shape: cold again.
-	g2 := RefinementGraph(61, 9)
-	if _, warm, err = sv.SolveGraphContext(context.Background(), g2, Auto); err != nil || warm {
-		t.Fatalf("different shape: warm=%v err=%v, want cold", warm, err)
-	}
-	if first == 0 {
-		t.Fatal("degenerate instance: zero optimal cost")
-	}
-	st := sv.Stats()
-	if st.ColdSolves != 2 || st.WarmSolves != 2 {
-		t.Errorf("stats = %+v, want 2 cold / 2 warm", st)
-	}
-}
-
-func TestResolveErrors(t *testing.T) {
-	var sv Solver
-	if _, err := sv.Resolve(nil); !errors.Is(err, ErrNoBasis) {
-		t.Fatalf("Resolve without basis: %v, want ErrNoBasis", err)
-	}
-	g := RefinementGraph(10, 1)
-	if _, err := sv.Solve(g); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.Resolve([]ArcUpdate{{Arc: g.NumArcs(), Cost: 1, Cap: 1}}); err == nil {
-		t.Fatal("out-of-range arc accepted")
-	}
-	if _, err := sv.Resolve([]ArcUpdate{{Arc: 0, Cost: 1, Cap: -1}}); err == nil {
-		t.Fatal("negative capacity accepted")
-	}
-	if _, err := sv.ResolveWith(nil, PivotRule(99)); err == nil {
-		t.Fatal("unknown pivot rule accepted")
-	}
-	// The stored basis must survive rejected updates.
-	if _, err := sv.Resolve(nil); err != nil {
-		t.Fatalf("no-op Resolve after rejected updates: %v", err)
-	}
-}
-
-// Resolve on a cancelled context returns the context error.
-func TestResolveHonorsContext(t *testing.T) {
-	g := RefinementGraph(200, 3)
-	sv := NewSolver()
-	if _, err := sv.Solve(g); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ups := PerturbCosts(g, 0.9, 8)
-	if _, err := sv.ResolveContext(ctx, ups); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled Resolve: %v, want context.Canceled", err)
-	}
-}
-
 // Auto resolves by instance size; the rule actually used is reported
 // through Stats.
 func TestAutoRuleResolution(t *testing.T) {
 	small := RefinementGraph(100, 1) // well under autoArcThreshold
 	sv := NewSolver()
-	if _, err := sv.Solve(small); err != nil {
+	if _, err := sv.Solve(context.Background(), small, Auto); err != nil {
 		t.Fatal(err)
 	}
 	if r := sv.Stats().LastRule; r != FirstEligible {
 		t.Errorf("small instance rule = %v, want FirstEligible", r)
 	}
 	big := RefinementGraph(2000, 1) // ~9000 arcs: over the threshold
-	if _, err := sv.Solve(big); err != nil {
+	if _, err := sv.Solve(context.Background(), big, Auto); err != nil {
 		t.Fatal(err)
 	}
 	if r := sv.Stats().LastRule; r != CandidateList {
@@ -264,11 +106,21 @@ func TestAutoRuleResolution(t *testing.T) {
 	}
 }
 
+// Solve rejects a rule outside the enumeration, including the retired
+// value between FirstEligible and CandidateList.
+func TestSolveRejectsUnknownRule(t *testing.T) {
+	g := RefinementGraph(10, 1)
+	for _, rule := range []PivotRule{PivotRule(2), PivotRule(99)} {
+		if _, err := solve(g, rule); err == nil {
+			t.Errorf("rule %d accepted", int(rule))
+		}
+	}
+}
+
 func TestPivotRuleString(t *testing.T) {
 	want := map[PivotRule]string{
 		Auto: "auto", FirstEligible: "first-eligible",
-		BlockSearch: "block-search", CandidateList: "candidate-list",
-		PivotRule(42): "PivotRule(42)",
+		CandidateList: "candidate-list", PivotRule(42): "PivotRule(42)",
 	}
 	for r, s := range want {
 		if r.String() != s {
@@ -277,63 +129,22 @@ func TestPivotRuleString(t *testing.T) {
 	}
 }
 
-// The warm Resolve path of a reused Solver performs zero heap
-// allocations per solve once warmed up. This is the dynamic witness the
-// static noalloc proof (root: (*Solver).resolve) is pinned to by
-// analysis.TestHotPathRootsMatchDynamicProof.
-func TestResolveZeroAlloc(t *testing.T) {
-	g := RefinementGraph(400, 11)
-	var sv Solver
-	if _, err := sv.SolveWith(g, FirstEligible); err != nil {
-		t.Fatal(err)
-	}
-	upsA := PerturbCosts(g, 0.05, 1)
-	if len(upsA) == 0 {
-		t.Fatal("empty perturbation")
-	}
-	upsB := make([]ArcUpdate, len(upsA))
-	for i, u := range upsA {
-		upsB[i] = ArcUpdate{Arc: u.Arc, Cost: g.Arc(u.Arc).Cost, Cap: u.Cap}
-	}
-	// Warm up until the scratch capacities (children lists, candidate
-	// queue, repair buffers) stop growing across the A/B cycle.
-	flip := false
-	next := func() []ArcUpdate {
-		ups := upsA
-		if flip {
-			ups = upsB
-		}
-		flip = !flip
-		return ups
-	}
-	for i := 0; i < 16; i++ {
-		if _, err := sv.ResolveWith(next(), FirstEligible); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := sv.ResolveWith(next(), FirstEligible); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("warm Resolve allocates %.1f times per op, want 0", allocs)
-	}
-}
-
-// A reused Solver's cold solves also stop allocating once its arrays
-// fit the instance shape (the ≥10× allocs/op criterion of
-// BENCH_mcf.json is rooted in this behaviour).
+// A reused Solver's solves stop allocating once its arrays fit the
+// instance shape (the reused-vs-fresh allocs/op ratio of
+// BENCH_mcf.json is rooted in this behaviour). This is the dynamic
+// witness the static noalloc proof (root: (*Solver).Solve) is pinned
+// to by analysis.TestHotPathRootsMatchDynamicProof.
 func TestReusedColdSolveZeroAlloc(t *testing.T) {
 	g := RefinementGraph(300, 13)
+	ctx := context.Background()
 	var sv Solver
 	for i := 0; i < 4; i++ {
-		if _, err := sv.SolveWith(g, FirstEligible); err != nil {
+		if _, err := sv.Solve(ctx, g, FirstEligible); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := sv.SolveWith(g, FirstEligible); err != nil {
+		if _, err := sv.Solve(ctx, g, FirstEligible); err != nil {
 			t.Fatal(err)
 		}
 	})

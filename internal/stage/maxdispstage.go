@@ -36,7 +36,5 @@ func (s *MaxDispStage) Counters(pc *PipelineContext) map[string]int64 {
 		"cells_swapped":    int64(pc.MaxDispStats.Swapped),
 		"phi_cost_before":  pc.MaxDispStats.CostBefore,
 		"phi_cost_after":   pc.MaxDispStats.CostAfter,
-		"warm_hits":        int64(pc.MaxDispStats.WarmHits),
-		"warm_misses":      int64(pc.MaxDispStats.WarmMisses),
 	}
 }

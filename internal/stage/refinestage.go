@@ -3,7 +3,6 @@ package stage
 import (
 	"context"
 
-	"mclegal/internal/mcf"
 	"mclegal/internal/refine"
 )
 
@@ -21,12 +20,6 @@ func NewRefine(opt refine.Options, useRanges bool) *RefineStage {
 type RefineStage struct {
 	Opt       refine.Options
 	UseRanges bool
-
-	// solver is lazily created and kept across runs of this stage
-	// instance, so repeated runs of one pipeline (the ECO loop) reuse
-	// scratch arrays and warm-start from the previous basis. Stages
-	// are per-pipeline (per shard), so no synchronization is needed.
-	solver *mcf.Solver
 }
 
 func (s *RefineStage) Name() string { return NameRefine }
@@ -43,12 +36,6 @@ func (s *RefineStage) Run(ctx context.Context, pc *PipelineContext) error {
 	if opt.Faults == nil {
 		opt.Faults = pc.Faults
 	}
-	if opt.Solver == nil {
-		if s.solver == nil {
-			s.solver = mcf.NewSolver()
-		}
-		opt.Solver = s.solver
-	}
 	rep, err := refine.OptimizeContext(ctx, pc.Design, pc.Grid, opt)
 	pc.RefineReport = rep
 	return err
@@ -62,8 +49,6 @@ func (s *RefineStage) Counters(pc *PipelineContext) map[string]int64 {
 		"neighbor_edges": int64(pc.RefineReport.Edges),
 		"cells_moved":    int64(pc.RefineReport.Moved),
 		"solver_rule":    int64(pc.RefineReport.Rule),
-		"warm_hits":      int64(pc.RefineReport.WarmHits),
-		"warm_misses":    int64(pc.RefineReport.WarmMisses),
 		"solve_ns":       pc.RefineReport.SolveNs,
 	}
 }
