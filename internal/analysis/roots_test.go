@@ -14,6 +14,7 @@ import (
 // tree contains it:
 //
 //	(*mgl.Legalizer).bestInWindow  — mgl.TestBestInWindowZeroAlloc
+//	(*mgl.Legalizer).splitRow      — mgl.TestSplitWindowZeroAlloc
 //	(*mcf.Solver).Solve            — mcf.TestReusedColdSolveZeroAlloc
 //	(*matching.Solver).Solve       — matching.TestSolverReuseZeroAlloc
 //	                                 (root: augmentRow, inside Solve)
@@ -42,6 +43,7 @@ func TestHotPathRootsMatchDynamicProof(t *testing.T) {
 		witness          string
 	}{
 		{"mclegal/internal/mgl", "Legalizer", "bestInWindow", true, "mgl.TestBestInWindowZeroAlloc"},
+		{"mclegal/internal/mgl", "Legalizer", "splitRow", true, "mgl.TestSplitWindowZeroAlloc"},
 		{"mclegal/internal/mcf", "Solver", "Solve", true, "mcf.TestReusedColdSolveZeroAlloc"},
 		{"mclegal/internal/matching", "Solver", "Solve", false, "matching.TestSolverReuseZeroAlloc"},
 	}

@@ -99,10 +99,10 @@ var WriteEffectClosure = []string{
 }
 
 // HotPathClosure lists every package the //mclegal:hotpath call trees
-// reach (mgl.bestInWindow, the reused mcf.Solver.Solve, and the
-// matching augment phase): the noalloc proof needs full bodies for all
-// of them, so program loads (suite tests, mclegal-vet) must include
-// the whole list.
+// reach (mgl.bestInWindow and splitRow, the reused mcf.Solver.Solve,
+// and the matching augment phase): the noalloc proof needs full bodies
+// for all of them, so program loads (suite tests, mclegal-vet) must
+// include the whole list.
 var HotPathClosure = []string{
 	"internal/mgl",
 	"internal/curve",

@@ -464,16 +464,7 @@ func runSharded(ctx context.Context, d *model.Design, opt Options, res *Result) 
 			out.MGLStats = pc.MGLStats
 			out.MaxDispStats = pc.MaxDispStats
 			out.RefineReport = pc.RefineReport
-			res.MGLStats.Placed += pc.MGLStats.Placed
-			res.MGLStats.WindowRetries += pc.MGLStats.WindowRetries
-			res.MGLStats.QualityRetries += pc.MGLStats.QualityRetries
-			res.MGLStats.InfeasibleRetries += pc.MGLStats.InfeasibleRetries
-			res.MGLStats.Batches += pc.MGLStats.Batches
-			res.MGLStats.InsertionsEvaluated += pc.MGLStats.InsertionsEvaluated
-			res.MGLStats.ChainCells += pc.MGLStats.ChainCells
-			if pc.MGLStats.Workers > res.MGLStats.Workers {
-				res.MGLStats.Workers = pc.MGLStats.Workers
-			}
+			res.MGLStats.Add(pc.MGLStats)
 			res.MaxDispStats.Groups += pc.MaxDispStats.Groups
 			res.MaxDispStats.Swapped += pc.MaxDispStats.Swapped
 			res.MaxDispStats.CostBefore += pc.MaxDispStats.CostBefore

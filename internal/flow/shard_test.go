@@ -94,10 +94,11 @@ func TestShardedRunReportsPerShardOutcomes(t *testing.T) {
 		!strings.HasPrefix(res.Shards[len(res.Shards)-1].Name, "slab") {
 		t.Errorf("last region %q, want a slab", res.Shards[len(res.Shards)-1].Name)
 	}
-	var cells, placed int
+	var cells, placed, rows int
 	for _, sh := range res.Shards {
 		cells += sh.Cells
 		placed += sh.MGLStats.Placed
+		rows += sh.MGLStats.RowsEvaluated
 		if len(sh.Timings) == 0 {
 			t.Errorf("shard %s has no timings", sh.Name)
 		}
@@ -107,6 +108,9 @@ func TestShardedRunReportsPerShardOutcomes(t *testing.T) {
 	}
 	if res.MGLStats.Placed != placed {
 		t.Errorf("aggregated Placed = %d, per-shard sum = %d", res.MGLStats.Placed, placed)
+	}
+	if rows == 0 || res.MGLStats.RowsEvaluated != rows {
+		t.Errorf("aggregated RowsEvaluated = %d, per-shard sum = %d", res.MGLStats.RowsEvaluated, rows)
 	}
 	if res.MGLTime == 0 {
 		t.Error("MGLTime not accumulated from prefixed timings")

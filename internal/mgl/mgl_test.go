@@ -2,6 +2,7 @@ package mgl
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mclegal/internal/eval"
@@ -458,6 +459,30 @@ func TestStatsPopulated(t *testing.T) {
 	l := runMGL(t, d, Options{Workers: 1})
 	if l.Stats.Placed != 2 {
 		t.Errorf("Stats.Placed = %d", l.Stats.Placed)
+	}
+}
+
+// Stats.Add sums every work counter and keeps the larger Workers. The
+// fields are set by reflection, so a counter added to Stats without a
+// line in Add fails here.
+func TestStatsAdd(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(10 + i))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	b.Workers = 3
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		name := va.Type().Field(i).Name
+		want := int64(10+i) + int64(100*(i+1))
+		if name == "Workers" {
+			want = max(int64(10+i), 3)
+		}
+		if got := va.Field(i).Int(); got != want {
+			t.Errorf("after Add, %s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -59,6 +59,7 @@ func (s *MGLStage) Counters(pc *PipelineContext) map[string]int64 {
 		"quality_retries":      int64(pc.MGLStats.QualityRetries),
 		"infeasible_retries":   int64(pc.MGLStats.InfeasibleRetries),
 		"batches":              int64(pc.MGLStats.Batches),
+		"rows_evaluated":       int64(pc.MGLStats.RowsEvaluated),
 		"insertions_evaluated": int64(pc.MGLStats.InsertionsEvaluated),
 		"chain_cells":          int64(pc.MGLStats.ChainCells),
 		"eval_workers":         int64(pc.MGLStats.Workers),
